@@ -1,17 +1,70 @@
 #include "mem/buddy_allocator.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
 namespace seesaw {
 
+BuddyAllocator::FreeBlockBitmap::FreeBlockBitmap(std::uint64_t blocks)
+{
+    std::uint64_t words = std::max<std::uint64_t>(1, (blocks + 63) / 64);
+    levels_.emplace_back(words, 0);
+    while (words > 1) {
+        words = (words + 63) / 64;
+        levels_.emplace_back(words, 0);
+    }
+}
+
+void
+BuddyAllocator::FreeBlockBitmap::set(std::uint64_t block)
+{
+    // Climb only while a word turns non-zero: its summary bit was clear.
+    for (auto &level : levels_) {
+        std::uint64_t &word = level[block >> 6];
+        const bool was_empty = word == 0;
+        word |= std::uint64_t{1} << (block & 63);
+        if (!was_empty)
+            break;
+        block >>= 6;
+    }
+    ++count_;
+}
+
+void
+BuddyAllocator::FreeBlockBitmap::reset(std::uint64_t block)
+{
+    // Climb only while a word turns zero: its summary bit must clear.
+    for (auto &level : levels_) {
+        std::uint64_t &word = level[block >> 6];
+        word &= ~(std::uint64_t{1} << (block & 63));
+        if (word != 0)
+            break;
+        block >>= 6;
+    }
+    --count_;
+}
+
+std::uint64_t
+BuddyAllocator::FreeBlockBitmap::lowest() const
+{
+    std::uint64_t block = 0;
+    for (auto level = levels_.rbegin(); level != levels_.rend(); ++level)
+        block = (block << 6) | std::countr_zero((*level)[block]);
+    return block;
+}
+
 BuddyAllocator::BuddyAllocator(std::uint64_t mem_bytes)
     : totalFrames_(mem_bytes >> kFrameBits),
-      freeLists_(kMaxOrder + 1),
       frameFree_(totalFrames_, false)
 {
     SEESAW_ASSERT(totalFrames_ > 0, "empty physical memory");
+    freeLists_.reserve(kMaxOrder + 1);
+    for (unsigned order = 0; order <= kMaxOrder; ++order) {
+        const std::uint64_t size = std::uint64_t{1} << order;
+        freeLists_.emplace_back((totalFrames_ + size - 1) >> order);
+    }
 
     // Seed the free lists by carving memory into maximal aligned blocks.
     std::uint64_t frame = 0;
@@ -33,23 +86,34 @@ void
 BuddyAllocator::markRange(std::uint64_t frame, unsigned order,
                           bool free_state)
 {
-    const std::uint64_t count = std::uint64_t{1} << order;
-    for (std::uint64_t i = 0; i < count; ++i)
-        frameFree_[frame + i] = free_state;
+    // Every frame must change state, not just the first: freeing a
+    // block with any already-free frame in it is a double free.
+    const std::uint64_t end = frame + (std::uint64_t{1} << order);
+    for (std::uint64_t f = frame; f < end; ++f) {
+        SEESAW_ASSERT(frameFree_[f] != free_state,
+                      free_state ? "double free of frame "
+                                 : "allocation of busy frame ",
+                      f);
+        frameFree_[f] = free_state;
+    }
 }
 
 void
 BuddyAllocator::insertBlock(std::uint64_t frame, unsigned order)
 {
-    auto [it, inserted] = freeLists_[order].insert(frame);
-    SEESAW_ASSERT(inserted, "double insert of free block ", frame);
+    const std::uint64_t block = frame >> order;
+    SEESAW_ASSERT(!freeLists_[order].test(block),
+                  "double insert of free block ", frame);
+    freeLists_[order].set(block);
 }
 
 void
 BuddyAllocator::removeBlock(std::uint64_t frame, unsigned order)
 {
-    const auto erased = freeLists_[order].erase(frame);
-    SEESAW_ASSERT(erased == 1, "free block not found ", frame);
+    const std::uint64_t block = frame >> order;
+    SEESAW_ASSERT(freeLists_[order].test(block),
+                  "free block not found ", frame);
+    freeLists_[order].reset(block);
 }
 
 std::optional<std::uint64_t>
@@ -58,12 +122,12 @@ BuddyAllocator::allocate(unsigned order)
     SEESAW_ASSERT(order <= kMaxOrder, "order too large: ", order);
 
     unsigned have = order;
-    while (have <= kMaxOrder && freeLists_[have].empty())
+    while (have <= kMaxOrder && freeLists_[have].count() == 0)
         ++have;
     if (have > kMaxOrder)
         return std::nullopt;
 
-    std::uint64_t frame = *freeLists_[have].begin();
+    std::uint64_t frame = freeLists_[have].lowest() << have;
     removeBlock(frame, have);
 
     // Split down to the requested order, returning upper halves to the
@@ -85,7 +149,7 @@ BuddyAllocator::findContainingFreeBlock(std::uint64_t frame,
     for (unsigned order = min_order; order <= kMaxOrder; ++order) {
         const std::uint64_t start =
             frame & ~((std::uint64_t{1} << order) - 1);
-        if (freeLists_[order].count(start))
+        if (freeLists_[order].test(start >> order))
             return std::make_pair(start, order);
     }
     return std::nullopt;
@@ -131,7 +195,8 @@ BuddyAllocator::free(std::uint64_t frame, unsigned order)
     SEESAW_ASSERT(order <= kMaxOrder, "order too large: ", order);
     SEESAW_ASSERT((frame & ((std::uint64_t{1} << order) - 1)) == 0,
                   "unaligned free");
-    SEESAW_ASSERT(!frameFree_[frame], "double free of frame ", frame);
+    SEESAW_ASSERT(frame + (std::uint64_t{1} << order) <= totalFrames_,
+                  "free past end of memory: frame ", frame);
 
     markRange(frame, order, true);
     freeFrames_ += std::uint64_t{1} << order;
@@ -140,7 +205,7 @@ BuddyAllocator::free(std::uint64_t frame, unsigned order)
     while (order < kMaxOrder) {
         const std::uint64_t buddy = buddyOf(frame, order);
         if (buddy + (std::uint64_t{1} << order) > totalFrames_ ||
-            !freeLists_[order].count(buddy)) {
+            !freeLists_[order].test(buddy >> order)) {
             break;
         }
         removeBlock(buddy, order);
@@ -161,7 +226,7 @@ std::size_t
 BuddyAllocator::freeBlocksAt(unsigned order) const
 {
     SEESAW_ASSERT(order <= kMaxOrder, "order too large");
-    return freeLists_[order].size();
+    return freeLists_[order].count();
 }
 
 std::uint64_t
@@ -169,7 +234,7 @@ BuddyAllocator::freeFramesAtOrAbove(unsigned order) const
 {
     std::uint64_t frames = 0;
     for (unsigned o = order; o <= kMaxOrder; ++o)
-        frames += freeLists_[o].size() * (std::uint64_t{1} << o);
+        frames += freeLists_[o].count() * (std::uint64_t{1} << o);
     return frames;
 }
 

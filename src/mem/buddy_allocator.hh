@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/types.hh"
@@ -36,7 +35,10 @@ class BuddyAllocator
     explicit BuddyAllocator(std::uint64_t mem_bytes);
 
     /**
-     * Allocate a naturally aligned block of 2^order frames.
+     * Allocate a naturally aligned block of 2^order frames: the
+     * lowest-addressed free block of the lowest non-empty order at or
+     * above @p order, split down as needed. Every memory image and
+     * golden result depends on this choice.
      * @return The first frame number, or nullopt if no block exists.
      */
     std::optional<std::uint64_t> allocate(unsigned order);
@@ -48,7 +50,10 @@ class BuddyAllocator
      */
     bool allocateSpecific(std::uint64_t frame, unsigned order);
 
-    /** Release a block previously returned by allocate(). */
+    /**
+     * Release a block previously returned by allocate(). Every frame of
+     * the block must be allocated and inside physical memory.
+     */
     void free(std::uint64_t frame, unsigned order);
 
     /** @return Whether the single frame @p frame is currently free. */
@@ -91,11 +96,45 @@ class BuddyAllocator
     }
 
   private:
+    /**
+     * The free blocks of one order as a hierarchical bitmap. Bit i of
+     * the leaf level means block i is free; every level above holds
+     * one bit per non-zero word of the level below, up to a single top
+     * word. Each operation is one word update per level, and the
+     * lowest free block is one count-trailing-zeros per level away.
+     */
+    class FreeBlockBitmap
+    {
+      public:
+        /** An empty bitmap over block indices [0, @p blocks). */
+        explicit FreeBlockBitmap(std::uint64_t blocks);
+
+        bool
+        test(std::uint64_t block) const
+        {
+            return (levels_.front()[block >> 6] >> (block & 63)) & 1;
+        }
+
+        void set(std::uint64_t block);
+        void reset(std::uint64_t block);
+
+        /** @return The lowest set block; the bitmap must not be empty. */
+        std::uint64_t lowest() const;
+
+        /** @return Number of set blocks. */
+        std::size_t count() const { return count_; }
+
+      private:
+        /** levels_[0] is the leaf level; levels_.back() is one word. */
+        std::vector<std::vector<std::uint64_t>> levels_;
+        std::size_t count_ = 0;
+    };
+
     std::uint64_t totalFrames_;
     std::uint64_t freeFrames_ = 0;
 
-    /** Free lists indexed by order; each holds block start frames. */
-    std::vector<std::set<std::uint64_t>> freeLists_;
+    /** Free blocks indexed by order; bit i of order k is frame i << k. */
+    std::vector<FreeBlockBitmap> freeLists_;
 
     /** Per-frame free flag to answer isFrameFree in O(1). */
     std::vector<bool> frameFree_;

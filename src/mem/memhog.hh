@@ -53,7 +53,12 @@ class Memhog
      */
     void consume(double fraction);
 
-    /** Release every retained (non-pinned) frame. */
+    /**
+     * Release every held frame, pinned ones included. The frame list
+     * goes stale once compaction migrates a held movable frame, so this
+     * is only valid before any allocation that may compact; no
+     * simulated path calls it.
+     */
     void release();
 
     /** Frames currently held (including pinned). */

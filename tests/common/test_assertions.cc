@@ -72,6 +72,31 @@ TEST(AssertionDeathTest, BuddyRejectsUnalignedFree)
         "unaligned");
 }
 
+TEST(AssertionDeathTest, BuddyRejectsFreeOfPartlyFreeBlock)
+{
+    // Only the block's last frame is already free: the whole block must
+    // be checked, not just its first frame.
+    EXPECT_DEATH(
+        {
+            BuddyAllocator buddy(4ULL << 20);
+            for (int i = 0; i < 8; ++i)
+                buddy.allocate(0); // frames 0..7, lowest first
+            buddy.free(7, 0);
+            buddy.free(0, 3);
+        },
+        "double free");
+}
+
+TEST(AssertionDeathTest, BuddyRejectsFreePastEndOfMemory)
+{
+    EXPECT_DEATH(
+        {
+            BuddyAllocator buddy(4ULL << 20); // frames 0..1023
+            buddy.free(1024, 3);
+        },
+        "past end of memory");
+}
+
 TEST(AssertionDeathTest, PageTableRejectsUnalignedMapping)
 {
     EXPECT_DEATH(

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <list>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -167,6 +168,181 @@ TEST(ReferenceModels, BuddyAllocatorNeverOverlapsAndAlwaysCoalesces)
         buddy.free(frame, order);
     EXPECT_EQ(buddy.freeFrames(), buddy.totalFrames());
     EXPECT_EQ(buddy.fragmentationIndex(9), 0.0);
+}
+
+// ------------------------------------------------------------------
+// BuddyAllocator vs a naive std::set-per-order buddy in lockstep. The
+// naive model is the allocator's original free-list implementation;
+// matching it after every operation pins the lowest-address-first
+// order that every memory image and golden result depends on.
+
+class RefBuddy
+{
+  public:
+    explicit RefBuddy(std::uint64_t frames)
+        : total_(frames), lists_(kMaxOrder + 1), free_(frames, false)
+    {
+        std::uint64_t frame = 0;
+        while (frame < total_) {
+            unsigned order = kMaxOrder;
+            while (order > 0 && (frame % size(order) != 0 ||
+                                 frame + size(order) > total_)) {
+                --order;
+            }
+            lists_[order].insert(frame);
+            mark(frame, order, true);
+            frame += size(order);
+        }
+    }
+
+    std::optional<std::uint64_t>
+    allocate(unsigned order)
+    {
+        unsigned have = order;
+        while (have <= kMaxOrder && lists_[have].empty())
+            ++have;
+        if (have > kMaxOrder)
+            return std::nullopt;
+        const std::uint64_t frame = *lists_[have].begin();
+        lists_[have].erase(frame);
+        while (have > order) {
+            --have;
+            lists_[have].insert(frame + size(have));
+        }
+        mark(frame, order, false);
+        return frame;
+    }
+
+    bool
+    allocateSpecific(std::uint64_t frame, unsigned order)
+    {
+        if (frame + size(order) > total_)
+            return false;
+        for (unsigned have = order; have <= kMaxOrder; ++have) {
+            std::uint64_t start = frame & ~(size(have) - 1);
+            if (!lists_[have].erase(start))
+                continue;
+            while (have > order) {
+                --have;
+                if (frame < start + size(have)) {
+                    lists_[have].insert(start + size(have));
+                } else {
+                    lists_[have].insert(start);
+                    start += size(have);
+                }
+            }
+            mark(frame, order, false);
+            return true;
+        }
+        return false;
+    }
+
+    void
+    free(std::uint64_t frame, unsigned order)
+    {
+        mark(frame, order, true);
+        while (order < kMaxOrder) {
+            const std::uint64_t buddy = frame ^ size(order);
+            if (buddy + size(order) > total_ ||
+                !lists_[order].erase(buddy)) {
+                break;
+            }
+            frame = std::min(frame, buddy);
+            ++order;
+        }
+        lists_[order].insert(frame);
+    }
+
+    bool isFrameFree(std::uint64_t frame) const { return free_[frame]; }
+    std::uint64_t freeFrames() const { return freeFrames_; }
+    std::size_t freeBlocksAt(unsigned o) const { return lists_[o].size(); }
+
+  private:
+    static constexpr unsigned kMaxOrder = BuddyAllocator::kMaxOrder;
+
+    static std::uint64_t size(unsigned order) { return 1ULL << order; }
+
+    void
+    mark(std::uint64_t frame, unsigned order, bool free_state)
+    {
+        for (std::uint64_t f = frame; f < frame + size(order); ++f)
+            free_[f] = free_state;
+        if (free_state)
+            freeFrames_ += size(order);
+        else
+            freeFrames_ -= size(order);
+    }
+
+    std::uint64_t total_;
+    std::uint64_t freeFrames_ = 0;
+    std::vector<std::set<std::uint64_t>> lists_;
+    std::vector<bool> free_;
+};
+
+TEST(ReferenceModels, BuddyAllocatorMatchesNaiveSetBuddyInLockstep)
+{
+    // Not a power of two, so the top of memory holds a ragged tail of
+    // smaller blocks and buddies that fall past the end.
+    constexpr std::uint64_t kFrames = 18000;
+    BuddyAllocator buddy(kFrames * BuddyAllocator::kFrameBytes);
+    RefBuddy ref(kFrames);
+    Rng rng(20181);
+
+    std::map<std::uint64_t, unsigned> live; // start frame -> order
+    auto check = [&](std::uint64_t frame, unsigned order, int step) {
+        ASSERT_EQ(buddy.freeFrames(), ref.freeFrames()) << "step " << step;
+        for (unsigned o = 0; o <= BuddyAllocator::kMaxOrder; ++o) {
+            ASSERT_EQ(buddy.freeBlocksAt(o), ref.freeBlocksAt(o))
+                << "order " << o << " at step " << step;
+        }
+        const std::uint64_t end =
+            std::min<std::uint64_t>(frame + (1ULL << order), kFrames);
+        for (std::uint64_t f = frame; f < end; ++f) {
+            ASSERT_EQ(buddy.isFrameFree(f), ref.isFrameFree(f))
+                << "frame " << f << " at step " << step;
+        }
+    };
+
+    for (int step = 0; step < 60000; ++step) {
+        const unsigned order = rng.nextBounded(11);
+        const double pick = rng.nextDouble();
+        if (live.empty() || pick < 0.45) {
+            const auto got = buddy.allocate(order);
+            ASSERT_EQ(got, ref.allocate(order)) << "step " << step;
+            if (!got)
+                continue;
+            live.emplace(*got, order);
+            check(*got, order, step);
+        } else if (pick < 0.6) {
+            // Aligned candidates, a few of them past the end of memory.
+            const std::uint64_t frame =
+                rng.nextBounded((kFrames >> order) + 2) << order;
+            const bool got = buddy.allocateSpecific(frame, order);
+            ASSERT_EQ(got, ref.allocateSpecific(frame, order))
+                << "step " << step;
+            if (!got)
+                continue;
+            live.emplace(frame, order);
+            check(frame, order, step);
+        } else {
+            auto it = live.begin();
+            std::advance(it, rng.nextBounded(live.size()));
+            const auto [frame, block_order] = *it;
+            live.erase(it);
+            buddy.free(frame, block_order);
+            ref.free(frame, block_order);
+            check(frame, block_order, step);
+        }
+    }
+
+    for (const auto &[frame, order] : live) {
+        buddy.free(frame, order);
+        ref.free(frame, order);
+    }
+    check(0, 0, -1);
+    EXPECT_EQ(buddy.freeFrames(), kFrames);
+    for (std::uint64_t f = 0; f < kFrames; ++f)
+        ASSERT_TRUE(buddy.isFrameFree(f));
 }
 
 // ------------------------------------------------------------------
