@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <ostream>
+
 #include "model/latency_table.hh"
 
 namespace seesaw {
@@ -24,6 +27,18 @@ struct TableRow
     unsigned base;
     unsigned super;
 };
+
+/**
+ * Names each row, e.g. 32KB_8way_1.33GHz. gtest would otherwise print the
+ * raw bytes of the struct, padding included, and those differ from run to
+ * run, which gives the registered ctest cases a new name on every build.
+ */
+void PrintTo(const TableRow &row, std::ostream *os)
+{
+    char freq[16];
+    std::snprintf(freq, sizeof(freq), "%.2f", row.freq);
+    *os << row.sizeKb << "KB_" << row.assoc << "way_" << freq << "GHz";
+}
 
 class TableIiiTest : public ::testing::TestWithParam<TableRow>
 {
