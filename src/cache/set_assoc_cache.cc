@@ -18,6 +18,7 @@ SetAssocCache::SetAssocCache(std::uint64_t size_bytes, unsigned assoc,
     SEESAW_ASSERT(isPowerOfTwo(numPartitions_) &&
                       assoc_ % numPartitions_ == 0,
                   "partitions must evenly divide the ways");
+    waysPerPartition_ = assoc_ / numPartitions_;
     lineBits_ = log2Floor(lineBytes_);
 
     const std::uint64_t lines = size_bytes / lineBytes_;

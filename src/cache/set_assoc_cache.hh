@@ -75,7 +75,7 @@ class SetAssocCache
     unsigned assoc() const { return assoc_; }
     unsigned lineBytes() const { return lineBytes_; }
     unsigned numPartitions() const { return numPartitions_; }
-    unsigned waysPerPartition() const { return assoc_ / numPartitions_; }
+    unsigned waysPerPartition() const { return waysPerPartition_; }
     std::uint64_t sizeBytes() const
     {
         return static_cast<std::uint64_t>(numSets_) * assoc_ *
@@ -192,6 +192,7 @@ class SetAssocCache
     unsigned setBits_;
     bool powerOfTwoSets_ = true;
     unsigned numPartitions_;
+    unsigned waysPerPartition_; //!< assoc_ / numPartitions_, cached
     unsigned partitionBits_;
     std::vector<CacheLine> lines_;
     std::optional<ReplacementPolicy> policy_;

@@ -15,6 +15,10 @@ ProbeEngine::ProbeEngine(const ProbeEngineParams &params, L1Cache &l1,
     directedRate_ = params_.systemProbesPerKiloInstr +
                     params_.sharingProbesPerKiloInstrPerThread *
                         params_.remoteThreads * params_.sharedFraction;
+    // Ticks rarely see more than a few probes: sized here, the buffer
+    // does not grow on the per-access path, which may run on a
+    // one-pass replay thread.
+    probeBuf_.reserve(64);
 }
 
 void

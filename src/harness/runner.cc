@@ -1,5 +1,6 @@
 #include "harness/runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -7,6 +8,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/jobs.hh"
 #include "common/logging.hh"
 #include "common/thread_annotations.hh"
 #include "harness/thread_pool.hh"
@@ -150,18 +152,19 @@ planTasks(const std::vector<Cell> &cells, bool one_pass)
 }
 
 /** Run one task — a lone cell via its thunk, or a >= 2-member group
- *  as a single MultiConfigEngine pass whose results land in the
- *  members' own slots. */
-void
+ *  as a single MultiConfigEngine pass (replaying its substrates on up
+ *  to @p replay_threads threads) whose results land in the members'
+ *  own slots. @return the group's replay threads, 0 for a lone cell. */
+unsigned
 runTask(const std::vector<Cell> &cells,
         const std::vector<std::size_t> &members,
         std::vector<CellResult> &slots, std::vector<char> &ran,
-        Progress &progress, CellHooks &hooks)
+        Progress &progress, CellHooks &hooks, unsigned replay_threads)
 {
     if (members.size() == 1) {
         slots[members[0]] = runCell(cells[members[0]], progress, hooks);
         ran[members[0]] = 1;
-        return;
+        return 0;
     }
     std::vector<SystemConfig> configs;
     configs.reserve(members.size());
@@ -169,7 +172,8 @@ runTask(const std::vector<Cell> &cells,
         configs.push_back(cells[i].onePass->config);
     const auto start = Clock::now();
     MultiConfigEngine engine(std::move(configs),
-                             cells[members[0]].onePass->workload);
+                             cells[members[0]].onePass->workload,
+                             replay_threads);
     std::vector<RunResult> results = engine.run();
     // One pass produced every member's result; report the shared wall
     // time as an even split so per-cell accounting stays meaningful.
@@ -193,6 +197,7 @@ runTask(const std::vector<Cell> &cells,
         slots[members[k]] = std::move(out);
         ran[members[k]] = 1;
     }
+    return engine.replayThreads();
 }
 
 } // namespace
@@ -265,11 +270,15 @@ CampaignRunner::runCells(const std::string &name,
     const std::vector<std::vector<std::size_t>> tasks =
         planTasks(cells, options_.onePass);
 
+    // Replay threads per task: tasks run inline hand a one-pass group
+    // the whole budget; tasks sharing the pool already use it.
+    std::vector<unsigned> replayed(tasks.size(), 0);
     if (jobs <= 1 || tasks.size() <= 1) {
-        for (const auto &members : tasks) {
+        for (std::size_t t = 0; t < tasks.size(); ++t) {
             if (stopRequested())
                 break;
-            runTask(cells, members, slots, ran, progress, hooks);
+            replayed[t] = runTask(cells, tasks[t], slots, ran, progress,
+                                  hooks, jobs);
         }
     } else {
         ThreadPool pool(jobs);
@@ -281,11 +290,14 @@ CampaignRunner::runCells(const std::string &name,
             pool.submit([&, t] {
                 if (stopRequested())
                     return;
-                runTask(cells, tasks[t], slots, ran, progress, hooks);
+                replayed[t] = runTask(cells, tasks[t], slots, ran,
+                                      progress, hooks, 1);
             });
         }
         pool.wait();
     }
+    for (const unsigned threads : replayed)
+        outcome.replayThreads = std::max(outcome.replayThreads, threads);
 
     for (std::size_t i = 0; i < cells.size(); ++i) {
         if (ran[i])

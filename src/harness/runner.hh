@@ -28,7 +28,9 @@ namespace seesaw::harness {
 struct RunnerOptions
 {
     /** Worker threads; 0 = defaultJobs() (SEESAW_JOBS env, else
-     *  hardware_concurrency). 1 runs inline with no pool. */
+     *  hardware_concurrency). 1 runs inline with no pool. Also the
+     *  replay-thread budget of a one-pass group when the plan has a
+     *  single task (groups sharing the pool replay on one thread). */
     unsigned jobs = 0;
 
     /** Emit per-cell progress lines to stderr. */
@@ -61,6 +63,9 @@ struct CampaignOutcome
     std::vector<CellResult> results; //!< completed cells, cell order
     std::size_t totalCells = 0;      //!< cells the campaign asked for
     bool interrupted = false;        //!< stopped before all cells ran
+    /** Most substrate-replay threads any one-pass group ran on (0:
+     *  no group ran). */
+    unsigned replayThreads = 0;
 };
 
 class CampaignRunner

@@ -1,7 +1,5 @@
 #include "harness/thread_pool.hh"
 
-#include <cstdlib>
-
 #include "common/logging.hh"
 
 namespace seesaw::harness {
@@ -83,20 +81,6 @@ ThreadPool::workerLoop()
                 drained_.notify_all();
         }
     }
-}
-
-unsigned
-defaultJobs()
-{
-    if (const char *env = std::getenv("SEESAW_JOBS"); env && *env) {
-        char *end = nullptr;
-        const long parsed = std::strtol(env, &end, 10);
-        if (end != env && parsed >= 1)
-            return static_cast<unsigned>(parsed);
-        SEESAW_WARN("ignoring unparsable SEESAW_JOBS=", env);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
 }
 
 } // namespace seesaw::harness

@@ -74,13 +74,6 @@ class ThreadPool
     std::vector<std::thread> workers_; //!< written only in ctor/dtor
 };
 
-/**
- * Worker count for parallel campaigns: the SEESAW_JOBS environment
- * variable when set (>= 1), otherwise std::thread::hardware_concurrency
- * (itself clamped to >= 1).
- */
-unsigned defaultJobs();
-
 } // namespace seesaw::harness
 
 #endif // SEESAW_HARNESS_THREAD_POOL_HH

@@ -5,6 +5,12 @@ namespace seesaw {
 EnergyModel::EnergyModel(const SramModel &sram, EnergyParams params)
     : sram_(sram), params_(params)
 {
+    // Size the memo once so the per-access path never allocates for
+    // L1s up to kMemoAssoc ways (wider ones allocate on first use).
+    // That path may run on a one-pass replay thread, whose first
+    // allocation would give it a malloc arena of its own.
+    for (L1LookupMemo &memo : memo_)
+        memo.byWaysRead.reserve(kMemoAssoc + 1);
 }
 
 double

@@ -99,6 +99,9 @@ class EnergyModel
     const SramModel &sram_;
     EnergyParams params_;
 
+    /** Widest L1 whose memo is allocated up front. */
+    static constexpr unsigned kMemoAssoc = 64;
+
     /** Memoised per-ways lookup energies of one L1 geometry. */
     struct L1LookupMemo
     {

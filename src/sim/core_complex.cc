@@ -184,7 +184,7 @@ CoreComplex::CoreComplex(const SystemConfig &config,
     // Wire the superpage hook into the TLB hierarchy: every 2MB L1 TLB
     // fill marks the region in the owning side's TFT (Fig 5;
     // markTftRegion routes I- vs D-side). A MultiConfigEngine
-    // re-points this at a shared group TLB that broadcasts to every
+    // re-points this at a shared group TLB whose hook reaches every
     // member complex.
     if (seesawD_ || seesawI_) {
         tlb_->setOn2MBFill(
@@ -353,7 +353,8 @@ CoreComplex::doMemoryAccess(const MemRef &ref, CoherenceFabric *fabric)
 bool
 CoreComplex::finishMemoryAccess(const MemRef &ref,
                                 const TlbLookupResult &tr,
-                                int tft_probe, CoherenceFabric *fabric)
+                                int tft_probe, CoherenceFabric *fabric,
+                                bool superpages_ample)
 {
     const Addr pa = tr.translation.translate(ref.va);
     const PageSize page_size = tr.translation.size;
@@ -430,8 +431,7 @@ CoreComplex::finishMemoryAccess(const MemRef &ref,
         unsigned assumed = l1_->baseHitCycles();
         if (isSeesawKind()) {
             const bool assume_fast =
-                !config_.schedulerCounterPolicy ||
-                activeTlb_->superpagesAmple();
+                !config_.schedulerCounterPolicy || superpages_ample;
             assumed = assume_fast ? l1_->fastHitCycles()
                                   : l1_->baseHitCycles();
         } else if (config_.l1Kind == L1Kind::Sipt) {

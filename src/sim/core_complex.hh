@@ -91,9 +91,20 @@ class CoreComplex
 
     /** Steps 2-6 of a data access: fabric ordering, L1 access, miss
      *  handling, core timing, TLB penalty. @p tr is the final
-     *  (non-faulting) lookup result. */
+     *  (non-faulting) lookup result and @p superpages_ample the TLB's
+     *  superpagesAmple() right after it (the scheduler's counter). */
     bool finishMemoryAccess(const MemRef &ref, const TlbLookupResult &tr,
-                            int tft_probe, CoherenceFabric *fabric);
+                            int tft_probe, CoherenceFabric *fabric,
+                            bool superpages_ample);
+
+    /** finishMemoryAccess reading the counter from the active TLB. */
+    bool
+    finishMemoryAccess(const MemRef &ref, const TlbLookupResult &tr,
+                       int tft_probe, CoherenceFabric *fabric)
+    {
+        return finishMemoryAccess(ref, tr, tft_probe, fabric,
+                                  activeTlb_->superpagesAmple());
+    }
 
     /** Accrue @p instructions against the 4-instructions-per-line
      *  fetch carry. @return whole fetch lines to perform now. */
@@ -106,7 +117,7 @@ class CoreComplex
      * Route a 2MB-fill notification to the TFT owning @p va_base (the
      * I-side TFT for text addresses when an L1I is modelled, the
      * D-side TFT otherwise). This is the single superpage hook; a
-     * multi-config TLB group broadcasts it to every member complex.
+     * multi-config TLB group records it for every member complex.
      */
     void markTftRegion(Addr va_base);
 

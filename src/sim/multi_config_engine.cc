@@ -1,15 +1,26 @@
 #include "sim/multi_config_engine.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <exception>
 #include <sstream>
+#include <thread>
 
 #include "check/invariant_auditor.hh"
 #include "common/bitops.hh"
+#include "common/jobs.hh"
 #include "common/logging.hh"
+#include "common/thread_annotations.hh"
 
 namespace seesaw {
 
 namespace {
+
+/** Steps per replay batch (about 0.8MB of records with one TLB
+ *  group). Replay throughput on the fig12 sweep is flat from 2K to 8K
+ *  steps; 8K makes crew hand-offs rare. */
+constexpr std::size_t kBatchSteps = 8192;
 
 /** The TLB geometry a config implies (sim/core_complex.cc order):
  *  substrates matching on this share one hierarchy per core. The
@@ -75,7 +86,8 @@ MultiConfigEngine::compatibleFrontEnds(const SystemConfig &a,
 }
 
 MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
-                                     const WorkloadSpec &workload)
+                                     const WorkloadSpec &workload,
+                                     unsigned replay_threads)
     : workload_(workload), latency_(TechNode::Intel22),
       configs_(std::move(configs)),
       eventRng_((configs_.empty() ? 0 : configs_.front().seed) ^
@@ -203,17 +215,13 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
     // --- Group superpage hooks: a 2MB fill in a shared TLB must mark
     // the TFT of *every* member substrate, each routing I- vs D-side
     // by its own shape (bit-identical to each member's solo hook).
+    // During run() the mark is recorded into the step and applied by
+    // each member's replay.
     for (std::size_t g = 0; g < groups_.size(); ++g) {
         for (unsigned c = 0; c < front.cores; ++c) {
-            std::vector<CoreComplex *> members;
-            for (Substrate &sub : substrates_) {
-                if (sub.tlbGroup == g)
-                    members.push_back(sub.complexes[c].get());
-            }
             groups_[g].tlbs[c]->setOn2MBFill(
-                [members = std::move(members)](Asid, Addr va_base) {
-                    for (CoreComplex *cx : members)
-                        cx->markTftRegion(va_base);
+                [this, g, c](Asid, Addr va_base) {
+                    onGroupFill(g, static_cast<CoreId>(c), va_base);
                 });
         }
     }
@@ -242,11 +250,22 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
     nextPromotion_ = front.promotionInterval;
     nextSplinter_ = front.splinterInterval;
 
-    dProbe_.resize(substrates_.size());
-    iProbe_.resize(substrates_.size());
-    transitions_.resize(substrates_.size());
-    trs_.resize(groups_.size());
-    itrs_.resize(groups_.size());
+    // --- Replay pipeline. Periodic/Paranoid audits read the shared OS
+    // and TLB state mid-run, so such a pass replays every step before
+    // the front end moves on, on the calling thread.
+    for (const Substrate &sub : substrates_) {
+        if (sub.auditor &&
+            (sub.config->audit.mode == check::AuditMode::Periodic ||
+             sub.config->audit.mode == check::AuditMode::Paranoid))
+            lockstep_ = true;
+    }
+    const auto count = static_cast<unsigned>(substrates_.size());
+    replayThreads_ =
+        lockstep_ ? 1
+                  : std::clamp(replay_threads ? replay_threads
+                                              : defaultJobs(),
+                               1u, count);
+    batchSteps_ = lockstep_ ? 1 : kBatchSteps;
 }
 
 MultiConfigEngine::~MultiConfigEngine() = default;
@@ -290,10 +309,161 @@ MultiConfigEngine::nextRef(CoreFrontEnd &fe)
 }
 
 void
+MultiConfigEngine::StepBatch::clear()
+{
+    steps.clear();
+    lookups.clear();
+    marks.clear();
+    fetches.clear();
+    events.clear();
+    promotedPas.clear();
+}
+
+/**
+ * The replay crew: the calling thread plus (threads - 1) workers.
+ * Every participant takes substrates of the started batch from one
+ * shared ticket until none remain, so each substrate replays a batch
+ * on exactly one thread; start() follows the previous finish(), so
+ * each substrate also replays its batches in order.
+ */
+class MultiConfigEngine::ReplayCrew
+{
+  public:
+    ReplayCrew(MultiConfigEngine &engine, unsigned threads)
+        : engine_(engine)
+    {
+        for (unsigned i = 1; i < threads; ++i)
+            workers_.emplace_back([this] { workerLoop(); });
+    }
+
+    ~ReplayCrew() SEESAW_EXCLUDES(mutex_)
+    {
+        {
+            MutexLock lock(mutex_);
+            stopping_ = true;
+        }
+        wake_.notify_all();
+        for (auto &worker : workers_)
+            worker.join();
+    }
+
+    ReplayCrew(const ReplayCrew &) = delete;
+    ReplayCrew &operator=(const ReplayCrew &) = delete;
+
+    /** Begin replaying @p batch; the previous batch must be finished. */
+    void
+    start(const StepBatch &batch) SEESAW_EXCLUDES(mutex_)
+    {
+        {
+            MutexLock lock(mutex_);
+            batch_ = &batch;
+            nextTicket_.store(0);
+            busy_ = static_cast<unsigned>(workers_.size());
+            ++generation_;
+        }
+        wake_.notify_all();
+    }
+
+    /** Replay what is left of the started batch on this thread, then
+     *  wait for the workers and rethrow the first exception one of
+     *  them raised. No-op when nothing is started. */
+    void
+    finish() SEESAW_EXCLUDES(mutex_)
+    {
+        const StepBatch *batch = nullptr;
+        {
+            MutexLock lock(mutex_);
+            batch = batch_;
+        }
+        if (!batch)
+            return;
+        drain(*batch);
+        MutexLock lock(mutex_);
+        while (busy_ != 0)
+            lock.wait(idle_);
+        batch_ = nullptr;
+        if (error_) {
+            const std::exception_ptr error = error_;
+            error_ = nullptr;
+            std::rethrow_exception(error);
+        }
+    }
+
+  private:
+    void
+    drain(const StepBatch &batch)
+    {
+        for (;;) {
+            const std::size_t s = nextTicket_.fetch_add(1);
+            if (s >= engine_.substrates_.size())
+                return;
+            engine_.replay(engine_.substrates_[s], batch);
+        }
+    }
+
+    void
+    workerLoop() SEESAW_EXCLUDES(mutex_)
+    {
+        std::uint64_t seen = 0;
+        for (;;) {
+            const StepBatch *batch = nullptr;
+            {
+                MutexLock lock(mutex_);
+                while (!stopping_ && generation_ == seen)
+                    lock.wait(wake_);
+                if (stopping_)
+                    return;
+                seen = generation_;
+                batch = batch_;
+            }
+            std::exception_ptr error;
+            try {
+                drain(*batch);
+            } catch (...) {
+                error = std::current_exception();
+            }
+            MutexLock lock(mutex_);
+            if (error && !error_)
+                error_ = error;
+            if (--busy_ == 0)
+                idle_.notify_one();
+        }
+    }
+
+    MultiConfigEngine &engine_;
+    std::atomic<std::size_t> nextTicket_{0};
+    AnnotatedMutex mutex_;
+    std::condition_variable wake_; //!< workers: new batch or stop
+    std::condition_variable idle_; //!< caller: every worker checked in
+    /** The started, not yet finished batch (nullptr: none). */
+    const StepBatch *batch_ SEESAW_GUARDED_BY(mutex_) = nullptr;
+    std::uint64_t generation_ SEESAW_GUARDED_BY(mutex_) = 0;
+    /** Workers not yet done with the current batch. */
+    unsigned busy_ SEESAW_GUARDED_BY(mutex_) = 0;
+    bool stopping_ SEESAW_GUARDED_BY(mutex_) = false;
+    std::exception_ptr error_ SEESAW_GUARDED_BY(mutex_);
+    std::vector<std::thread> workers_; //!< written only in ctor/dtor
+};
+
+void
+MultiConfigEngine::onGroupFill(std::size_t group, CoreId c,
+                               Addr va_base)
+{
+    if (recording_) {
+        filling_->marks.push_back({group, va_base});
+        return;
+    }
+    for (Substrate &sub : substrates_) {
+        if (sub.tlbGroup == group)
+            sub.complexes[c]->markTftRegion(va_base);
+    }
+}
+
+void
 MultiConfigEngine::applyPromotion(const PromotionEvent &event)
 {
     // Shoot down the 512 stale base-page translations once per shared
-    // TLB, then sweep and stall every substrate (§IV-C2).
+    // TLB; every substrate then sweeps and stalls (§IV-C2).
     for (TlbGroup &group : groups_) {
         for (auto &tlb : group.tlbs) {
             for (unsigned i = 0; i < 512; ++i)
@@ -301,22 +471,15 @@ MultiConfigEngine::applyPromotion(const PromotionEvent &event)
                                     event.vaBase + i * 4096ULL);
         }
     }
-    for (Substrate &sub : substrates_) {
-        for (auto &cx : sub.complexes) {
-            for (Addr old_pa : event.oldPaBases)
-                cx->l1().sweepRegion(old_pa, 4096);
-            cx->cpu().addStallCycles(sub.config->shootdownCycles);
-        }
-        if (sub.directory) {
-            for (Addr old_pa : event.oldPaBases) {
-                for (CoreId c = 0; c < sub.complexes.size(); ++c) {
-                    for (Addr line = old_pa; line < old_pa + 4096;
-                         line += 64)
-                        sub.directory->recordEviction(c, line);
-                }
-            }
-        }
-    }
+    StepBatch &batch = *filling_;
+    EventRecord record;
+    record.kind = EventRecord::Kind::Promotion;
+    record.pasBegin = static_cast<std::uint32_t>(batch.promotedPas.size());
+    batch.promotedPas.insert(batch.promotedPas.end(),
+                             event.oldPaBases.begin(),
+                             event.oldPaBases.end());
+    record.pasEnd = static_cast<std::uint32_t>(batch.promotedPas.size());
+    batch.events.push_back(record);
 }
 
 void
@@ -326,13 +489,10 @@ MultiConfigEngine::applySplinter(const SplinterEvent &event)
         for (auto &tlb : group.tlbs)
             tlb->invalidatePage(event.asid, event.vaBase);
     }
-    for (Substrate &sub : substrates_) {
-        for (auto &cx : sub.complexes) {
-            if (SeesawCache *cache = cx->seesawL1())
-                cache->tft().invalidateRegion(event.vaBase);
-            cx->cpu().addStallCycles(sub.config->shootdownCycles);
-        }
-    }
+    EventRecord record;
+    record.kind = EventRecord::Kind::Splinter;
+    record.va = event.vaBase;
+    filling_->events.push_back(record);
 }
 
 void
@@ -372,11 +532,7 @@ MultiConfigEngine::osTick(CoreId c)
     if (front.contextSwitchInterval &&
         retired >= fe.nextContextSwitch) {
         fe.nextContextSwitch += front.contextSwitchInterval;
-        // The TFT carries no ASID tags; context switches flush it.
-        for (Substrate &sub : substrates_) {
-            if (SeesawCache *cache = sub.complexes[c]->seesawL1())
-                cache->tft().flush();
-        }
+        filling_->events.push_back({EventRecord::Kind::ContextSwitch});
     }
 
     if (c != 0)
@@ -400,112 +556,204 @@ MultiConfigEngine::osTick(CoreId c)
     }
 }
 
+std::uint32_t
+MultiConfigEngine::recordLookups(CoreId c, Addr va)
+{
+    std::vector<GroupLookup> &lookups = filling_->lookups;
+    const auto first = static_cast<std::uint32_t>(lookups.size());
+    for (TlbGroup &group : groups_)
+        lookups.push_back({group.tlbs[c]->lookup(asid_, va)});
+    return first;
+}
+
 std::uint64_t
-MultiConfigEngine::step(CoreId c, std::uint64_t room)
+MultiConfigEngine::recordStep(CoreId c, std::uint64_t room)
 {
     CoreFrontEnd &fe = cores_[c];
-    MemRef ref = nextRef(fe);
-    if (ref.gap + 1ULL > room)
-        ref.gap = static_cast<std::uint32_t>(room > 0 ? room - 1 : 0);
+    StepBatch &batch = *filling_;
+    const std::size_t groups = groups_.size();
 
-    for (Substrate &sub : substrates_)
-        sub.complexes[c]->cpu().retireNonMemory(ref.gap);
-
-    // Pre-TLB TFT probes: every substrate samples its own TFT before
-    // any shared 2MB refresh fires.
-    for (std::size_t s = 0; s < substrates_.size(); ++s)
-        dProbe_[s] = substrates_[s].complexes[c]->probeDataTft(ref.va);
+    StepRecord step;
+    step.ref = nextRef(fe);
+    if (step.ref.gap + 1ULL > room)
+        step.ref.gap =
+            static_cast<std::uint32_t>(room > 0 ? room - 1 : 0);
+    step.core = c;
 
     // One lookup per TLB group — the shared work the pass exists for.
-    for (std::size_t g = 0; g < groups_.size(); ++g)
-        trs_[g] = groups_[g].tlbs[c]->lookup(asid_, ref.va);
-
     // Translation is config-invariant, so every group agrees on
     // whether the access faults.
-    const bool faulted = trs_[0].fault;
-    for (const TlbLookupResult &tr : trs_) {
-        SEESAW_ASSERT(tr.fault == faulted,
+    step.lookup = recordLookups(c, step.ref.va);
+    step.faulted = batch.lookups[step.lookup].tr.fault;
+    for (std::size_t g = 0; g < groups; ++g) {
+        SEESAW_ASSERT(batch.lookups[step.lookup + g].tr.fault ==
+                          step.faulted,
                       "substrates disagree on a page fault");
     }
-
-    for (std::size_t s = 0; s < substrates_.size(); ++s) {
-        substrates_[s].complexes[c]->chargeTranslation(
-            trs_[substrates_[s].tlbGroup]);
-    }
-
-    if (faulted) {
+    std::uint32_t final_lookup = step.lookup;
+    if (step.faulted) {
         // Demand-page once; each group retries its lookup (identical
         // to every member's solo fault path).
-        os_->mapAnonymous(asid_, alignDown(ref.va, 2 * 1024 * 1024),
+        os_->mapAnonymous(asid_, alignDown(step.ref.va, 2 * 1024 * 1024),
                           2 * 1024 * 1024,
                           workload_.thpEligibleFraction);
-        for (std::size_t g = 0; g < groups_.size(); ++g) {
-            trs_[g] = groups_[g].tlbs[c]->lookup(asid_, ref.va);
-            SEESAW_ASSERT(!trs_[g].fault,
+        final_lookup = recordLookups(c, step.ref.va);
+        for (std::size_t g = 0; g < groups; ++g) {
+            SEESAW_ASSERT(!batch.lookups[final_lookup + g].tr.fault,
                           "fault persists after demand paging");
         }
     }
-
-    for (std::size_t s = 0; s < substrates_.size(); ++s) {
-        Substrate &sub = substrates_[s];
-        transitions_[s] =
-            sub.complexes[c]->finishMemoryAccess(
-                ref, trs_[sub.tlbGroup], dProbe_[s],
-                sub.fabric.get())
-                ? 1
-                : 0;
+    // The scheduler's superpage-occupancy counter, read where a solo
+    // run's finishMemoryAccess reads it: after the final lookup,
+    // before any fetch lookup.
+    for (std::size_t g = 0; g < groups; ++g) {
+        batch.lookups[final_lookup + g].superpagesAmple =
+            groups_[g].tlbs[c]->superpagesAmple();
     }
+    step.marksEnd = static_cast<std::uint32_t>(batch.marks.size());
 
     // Instruction fetches: the front end owns the fetch carry and the
     // fetch-line stream; substrates complete each line independently.
     if (fe.code) {
-        fe.fetchCarry += static_cast<double>(ref.gap + 1) / 4.0;
+        fe.fetchCarry += static_cast<double>(step.ref.gap + 1) / 4.0;
         auto fetches = static_cast<std::uint64_t>(fe.fetchCarry);
         fe.fetchCarry -= static_cast<double>(fetches);
         while (fetches-- > 0) {
-            const Addr va = fe.code->nextFetchLine();
-            for (std::size_t s = 0; s < substrates_.size(); ++s) {
-                iProbe_[s] =
-                    substrates_[s].complexes[c]->probeCodeTft(va);
-            }
-            for (std::size_t g = 0; g < groups_.size(); ++g) {
-                itrs_[g] = groups_[g].tlbs[c]->lookup(asid_, va);
-                SEESAW_ASSERT(!itrs_[g].fault,
+            FetchRecord fetch;
+            fetch.va = fe.code->nextFetchLine();
+            fetch.lookup = recordLookups(c, fetch.va);
+            for (std::size_t g = 0; g < groups; ++g) {
+                SEESAW_ASSERT(!batch.lookups[fetch.lookup + g].tr.fault,
                               "text segment must be premapped");
             }
-            for (std::size_t s = 0; s < substrates_.size(); ++s) {
-                Substrate &sub = substrates_[s];
-                sub.complexes[c]->chargeTranslation(
-                    itrs_[sub.tlbGroup]);
-                sub.complexes[c]->finishFetch(
-                    va, itrs_[sub.tlbGroup], iProbe_[s]);
-            }
+            fetch.marksEnd = static_cast<std::uint32_t>(batch.marks.size());
+            batch.fetches.push_back(fetch);
         }
     }
+    step.fetchesEnd = static_cast<std::uint32_t>(batch.fetches.size());
 
-    fe.retiredTotal += ref.gap + 1;
-    for (Substrate &sub : substrates_) {
-        sub.complexes[c]->retiredTotal_ += ref.gap + 1;
-        if (ProbeEngine *probes = sub.complexes[c]->probeEngine())
-            probes->tick(ref.gap + 1);
-    }
+    fe.retiredTotal += step.ref.gap + 1;
     osTick(c);
-    if constexpr (check::kAuditCompiledIn) {
-        for (std::size_t s = 0; s < substrates_.size(); ++s) {
-            Substrate &sub = substrates_[s];
-            if (!sub.auditor)
-                continue;
-            const Cycles now = sub.complexes[c]->cpu().cycles();
-            if (sub.fabric && transitions_[s])
-                sub.auditor->onCoherenceTransition(now);
-            sub.auditor->onEvent(ref.gap + 1, now);
-        }
-    }
-    return ref.gap + 1;
+    step.eventsEnd = static_cast<std::uint32_t>(batch.events.size());
+    batch.steps.push_back(step);
+    return step.ref.gap + 1;
 }
 
 void
-MultiConfigEngine::runLoop(std::uint64_t per_core_budget)
+MultiConfigEngine::replayEvent(Substrate &sub, const StepBatch &batch,
+                               const EventRecord &event, CoreId c)
+{
+    const Cycles stall = sub.config->shootdownCycles;
+    switch (event.kind) {
+      case EventRecord::Kind::ContextSwitch:
+        // The TFT carries no ASID tags; context switches flush it.
+        if (SeesawCache *cache = sub.complexes[c]->seesawL1())
+            cache->tft().flush();
+        return;
+      case EventRecord::Kind::Promotion:
+        for (auto &cx : sub.complexes) {
+            for (std::uint32_t i = event.pasBegin; i < event.pasEnd; ++i)
+                cx->l1().sweepRegion(batch.promotedPas[i], 4096);
+            cx->cpu().addStallCycles(stall);
+        }
+        if (sub.directory) {
+            for (std::uint32_t i = event.pasBegin; i < event.pasEnd;
+                 ++i) {
+                const Addr old_pa = batch.promotedPas[i];
+                for (CoreId core = 0; core < sub.complexes.size();
+                     ++core) {
+                    for (Addr line = old_pa; line < old_pa + 4096;
+                         line += 64)
+                        sub.directory->recordEviction(core, line);
+                }
+            }
+        }
+        return;
+      case EventRecord::Kind::Splinter:
+        for (auto &cx : sub.complexes) {
+            if (SeesawCache *cache = cx->seesawL1())
+                cache->tft().invalidateRegion(event.va);
+            cx->cpu().addStallCycles(stall);
+        }
+        return;
+    }
+}
+
+void
+MultiConfigEngine::replay(Substrate &sub, const StepBatch &batch)
+{
+    // A solo run's per-access order: retire, pre-TLB TFT probe, the
+    // lookups' 2MB marks, translation charge, the access, the fetches
+    // (probe, marks, charge, line each), probe tick, OS events, audits.
+    const std::size_t group = sub.tlbGroup;
+    const std::size_t groups = groups_.size();
+    std::size_t mark = 0;
+    std::size_t fetch = 0;
+    std::size_t event = 0;
+    const auto mark_until = [&](CoreComplex &cx, std::uint32_t end) {
+        for (; mark < end; ++mark) {
+            if (batch.marks[mark].group == group)
+                cx.markTftRegion(batch.marks[mark].vaBase);
+        }
+    };
+    for (const StepRecord &step : batch.steps) {
+        CoreComplex &cx = *sub.complexes[step.core];
+        const std::uint64_t retired = step.ref.gap + 1ULL;
+        cx.cpu().retireNonMemory(step.ref.gap);
+        const int probe = cx.probeDataTft(step.ref.va);
+        mark_until(cx, step.marksEnd);
+
+        const GroupLookup &first = batch.lookups[step.lookup + group];
+        cx.chargeTranslation(first.tr);
+        const GroupLookup &last =
+            step.faulted ? batch.lookups[step.lookup + groups + group]
+                         : first;
+        const bool transition =
+            cx.finishMemoryAccess(step.ref, last.tr, probe,
+                                  sub.fabric.get(), last.superpagesAmple);
+
+        for (; fetch < step.fetchesEnd; ++fetch) {
+            const FetchRecord &line = batch.fetches[fetch];
+            const int code_probe = cx.probeCodeTft(line.va);
+            mark_until(cx, line.marksEnd);
+            const TlbLookupResult &tr =
+                batch.lookups[line.lookup + group].tr;
+            cx.chargeTranslation(tr);
+            cx.finishFetch(line.va, tr, code_probe);
+        }
+
+        cx.retiredTotal_ += retired;
+        if (ProbeEngine *probes = cx.probeEngine())
+            probes->tick(retired);
+        for (; event < step.eventsEnd; ++event)
+            replayEvent(sub, batch, batch.events[event], step.core);
+        if constexpr (check::kAuditCompiledIn) {
+            if (sub.auditor) {
+                const Cycles now = cx.cpu().cycles();
+                if (sub.fabric && transition)
+                    sub.auditor->onCoherenceTransition(now);
+                sub.auditor->onEvent(retired, now);
+            }
+        }
+    }
+}
+
+void
+MultiConfigEngine::dispatch(ReplayCrew &crew)
+{
+    if (filling_->steps.empty())
+        return;
+    crew.finish();
+    crew.start(*filling_);
+    filling_ = filling_ == &batches_[0] ? &batches_[1] : &batches_[0];
+    filling_->clear();
+    if (lockstep_)
+        crew.finish();
+}
+
+void
+MultiConfigEngine::runLoop(std::uint64_t per_core_budget,
+                           ReplayCrew &crew)
 {
     std::vector<std::uint64_t> retired(cores_.size(), 0);
     bool progress = true;
@@ -513,11 +761,15 @@ MultiConfigEngine::runLoop(std::uint64_t per_core_budget)
         progress = false;
         for (CoreId c = 0; c < cores_.size(); ++c) {
             if (retired[c] < per_core_budget) {
-                retired[c] += step(c, per_core_budget - retired[c]);
+                retired[c] += recordStep(c, per_core_budget - retired[c]);
                 progress = true;
+                if (filling_->steps.size() >= batchSteps_)
+                    dispatch(crew);
             }
         }
     }
+    dispatch(crew);
+    crew.finish();
 }
 
 void
@@ -536,11 +788,24 @@ std::vector<RunResult>
 MultiConfigEngine::run()
 {
     const SystemConfig &front = configs_.front();
-    if (front.warmupInstructions > 0) {
-        runLoop(front.warmupInstructions);
-        resetMeasurement();
+    // The batches live only while the pass runs: allocated after all
+    // setup and released before results are collected.
+    for (StepBatch &batch : batches_) {
+        batch.steps.reserve(batchSteps_);
+        batch.lookups.reserve(batchSteps_ * groups_.size());
     }
-    runLoop(front.instructions);
+    {
+        ReplayCrew crew(*this, replayThreads_);
+        recording_ = true;
+        if (front.warmupInstructions > 0) {
+            runLoop(front.warmupInstructions, crew);
+            resetMeasurement();
+        }
+        runLoop(front.instructions, crew);
+        recording_ = false;
+    }
+    batches_ = {};
+    filling_ = &batches_[0];
 
     std::vector<RunResult> results;
     results.reserve(substrates_.size());

@@ -25,11 +25,22 @@
  *
  * Front-end compatibility (frontEndKey) is the contract: configs in
  * one pass must agree on every field that feeds the shared state.
+ *
+ * A pass runs in two halves. The front end (calling thread) draws each
+ * reference, does the shared TLB lookups, demand paging and OS events,
+ * and appends one step record per access to a batch. Each substrate
+ * then replays the batch on its own: the recorded lookups, TFT marks
+ * and OS events drive exactly the operations, in exactly the order, a
+ * solo SimEngine run performs. Substrates never feed back into the
+ * front end, so batches replay on a small thread crew while the front
+ * end fills the next one, and every result stays bit-identical at any
+ * thread count.
  */
 
 #ifndef SEESAW_SIM_MULTI_CONFIG_ENGINE_HH
 #define SEESAW_SIM_MULTI_CONFIG_ENGINE_HH
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,9 +57,23 @@ namespace seesaw {
 class MultiConfigEngine
 {
   public:
+    /**
+     * @param replay_threads Host threads that replay substrates,
+     *        counting the calling thread; 0 picks
+     *        min(substrates, defaultJobs()). Clamped to
+     *        [1, substrates], and forced to 1 when any substrate
+     *        audits Periodic/Paranoid (those audits read shared state
+     *        mid-run, so the pass runs in lockstep). Results do not
+     *        depend on it.
+     */
     MultiConfigEngine(std::vector<SystemConfig> configs,
-                      const WorkloadSpec &workload);
+                      const WorkloadSpec &workload,
+                      unsigned replay_threads = 0);
     ~MultiConfigEngine();
+
+    /** The group TLBs' fill hooks hold this engine's address. */
+    MultiConfigEngine(const MultiConfigEngine &) = delete;
+    MultiConfigEngine &operator=(const MultiConfigEngine &) = delete;
 
     /** Execute the shared per-core instruction budget once; @return
      *  one RunResult per config, in constructor order. */
@@ -88,6 +113,8 @@ class MultiConfigEngine
     }
     OsMemoryManager &os() { return *os_; }
     Asid asid() const { return asid_; }
+    /** Threads run() replays substrates on (see the constructor). */
+    unsigned replayThreads() const { return replayThreads_; }
     /// @}
 
     /**
@@ -95,11 +122,14 @@ class MultiConfigEngine
      * every substrate: invlpg on each shared TLB group, plus TFT
      * region invalidations in every SEESAW L1D/L1I. The run loop's
      * promotion/splinter events use the same broadcast structure; this
-     * entry point is for OS-driven unmaps (and their tests).
+     * entry point is for OS-driven unmaps (and their tests), outside
+     * run().
      */
     void unmapBroadcast(Addr va_base, std::uint64_t bytes);
 
   private:
+    class ReplayCrew;
+
     /** Substrates sharing one TLB geometry share one hierarchy per
      *  core; the group's superpage hook broadcasts to every member. */
     struct TlbGroup
@@ -132,13 +162,103 @@ class MultiConfigEngine
         std::uint64_t nextContextSwitch = 0;
     };
 
+    /** @name Step records: the front end's output, replayed by every
+     *  substrate. Indices point into the owning StepBatch's arrays. */
+    /// @{
+
+    /** One TLB group's lookup, plus the group's superpage-occupancy
+     *  reading where the scheduler samples it (final data lookup). */
+    struct GroupLookup
+    {
+        TlbLookupResult tr;
+        bool superpagesAmple = false;
+    };
+
+    /** A 2MB-fill notification from a group's TLB: mark the TFT region
+     *  in every member substrate. */
+    struct TftMark
+    {
+        std::size_t group = 0;
+        Addr vaBase = 0;
+    };
+
+    /** One instruction-fetch line: its group lookups start at
+     *  @c lookup; marks up to @c marksEnd precede its charge. */
+    struct FetchRecord
+    {
+        Addr va = 0;
+        std::uint32_t lookup = 0;
+        std::uint32_t marksEnd = 0;
+    };
+
+    /** The substrate side of one OS event. */
+    struct EventRecord
+    {
+        enum class Kind : std::uint8_t
+        {
+            ContextSwitch, //!< flush the stepping core's D-side TFT
+            Promotion,     //!< sweep old PAs [pasBegin, pasEnd), stall
+            Splinter,      //!< drop the TFT region at va, stall
+        };
+        Kind kind = Kind::ContextSwitch;
+        Addr va = 0;
+        std::uint32_t pasBegin = 0;
+        std::uint32_t pasEnd = 0;
+    };
+
+    /** One access on one core. Group lookups start at @c lookup (a
+     *  second set follows when the access faulted: the retry);
+     *  marks, fetches and events run up to their end indices. */
+    struct StepRecord
+    {
+        MemRef ref;
+        CoreId core = 0;
+        bool faulted = false;
+        std::uint32_t lookup = 0;
+        std::uint32_t marksEnd = 0;
+        std::uint32_t fetchesEnd = 0;
+        std::uint32_t eventsEnd = 0;
+    };
+
+    struct StepBatch
+    {
+        std::vector<StepRecord> steps;
+        std::vector<GroupLookup> lookups;
+        std::vector<TftMark> marks;
+        std::vector<FetchRecord> fetches;
+        std::vector<EventRecord> events;
+        std::vector<Addr> promotedPas;
+
+        void clear();
+    };
+    /// @}
+
     MemRef nextRef(CoreFrontEnd &fe);
-    std::uint64_t step(CoreId c, std::uint64_t room);
-    void runLoop(std::uint64_t per_core_budget);
-    void resetMeasurement();
+
+    /** Front-end half of one access on core @p c: draw, translate,
+     *  page, tick the OS, and append the step to the filling batch.
+     *  @return instructions retired. */
+    std::uint64_t recordStep(CoreId c, std::uint64_t room);
+    /** Append core @p c's group lookups of @p va to the filling batch.
+     *  @return the index of the first. */
+    std::uint32_t recordLookups(CoreId c, Addr va);
     void osTick(CoreId c);
     void applyPromotion(const PromotionEvent &event);
     void applySplinter(const SplinterEvent &event);
+    /** Route a group TLB's 2MB fill: into the step being recorded
+     *  during run(), straight to the members otherwise. */
+    void onGroupFill(std::size_t group, CoreId c, Addr va_base);
+
+    /** Replay half: run every recorded step through one substrate. */
+    void replay(Substrate &sub, const StepBatch &batch);
+    void replayEvent(Substrate &sub, const StepBatch &batch,
+                     const EventRecord &event, CoreId c);
+
+    void runLoop(std::uint64_t per_core_budget, ReplayCrew &crew);
+    /** Hand the filling batch to the crew (after the previous batch
+     *  finishes) and start filling the other one. */
+    void dispatch(ReplayCrew &crew);
+    void resetMeasurement();
     void setupAuditor(Substrate &sub);
 
     WorkloadSpec workload_;
@@ -159,11 +279,16 @@ class MultiConfigEngine
     std::uint64_t nextPromotion_ = 0;
     std::uint64_t nextSplinter_ = 0;
 
-    /** @name Per-step scratch (sized once; the access loop is hot). */
+    /** @name Replay pipeline. */
     /// @{
-    std::vector<int> dProbe_, iProbe_;
-    std::vector<TlbLookupResult> trs_, itrs_;
-    std::vector<char> transitions_;
+    unsigned replayThreads_ = 1;
+    /** Periodic/Paranoid audits: replay each step before the front end
+     *  draws the next one. */
+    bool lockstep_ = false;
+    std::size_t batchSteps_ = 1;
+    std::array<StepBatch, 2> batches_;
+    StepBatch *filling_ = &batches_[0]; //!< the front end's batch
+    bool recording_ = false;            //!< inside run()
     /// @}
 };
 

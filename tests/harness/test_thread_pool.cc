@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/jobs.hh"
 #include "harness/thread_pool.hh"
 
 namespace seesaw::harness {
@@ -90,6 +91,40 @@ TEST(DefaultJobs, EnvOverridesHardwareConcurrency)
     EXPECT_GE(defaultJobs(), 1u); // falls back, never 0
     ::unsetenv("SEESAW_JOBS");
     EXPECT_GE(defaultJobs(), 1u);
+}
+
+/** defaultJobs() with SEESAW_JOBS unset: the fallback every rejected
+ *  value must produce. */
+unsigned
+fallbackJobs()
+{
+    ::unsetenv("SEESAW_JOBS");
+    return defaultJobs();
+}
+
+TEST(DefaultJobs, RejectsTrailingJunk)
+{
+    const unsigned fallback = fallbackJobs();
+    for (const char *bad : {"7abc", "7 ", "3.5", "0x10", "8k"}) {
+        ::setenv("SEESAW_JOBS", bad, 1);
+        EXPECT_EQ(defaultJobs(), fallback) << "SEESAW_JOBS=" << bad;
+    }
+    ::unsetenv("SEESAW_JOBS");
+}
+
+TEST(DefaultJobs, RejectsOutOfRangeValues)
+{
+    const unsigned fallback = fallbackJobs();
+    // 2^32 + 7 would truncate to 7 through an unsigned cast; the
+    // others overflow long long or fall below one worker.
+    for (const char *bad : {"4294967303", "4294967296",
+                            "99999999999999999999999", "0", "-3"}) {
+        ::setenv("SEESAW_JOBS", bad, 1);
+        EXPECT_EQ(defaultJobs(), fallback) << "SEESAW_JOBS=" << bad;
+    }
+    ::setenv("SEESAW_JOBS", "4294967295", 1); // UINT_MAX itself
+    EXPECT_EQ(defaultJobs(), 4294967295u);
+    ::unsetenv("SEESAW_JOBS");
 }
 
 } // namespace

@@ -7,12 +7,18 @@
  *  - OS events (promotion, splinter, unmap) broadcast to every
  *    substrate;
  *  - a desynced substrate trips its own src/check audit context while
- *    the healthy substrate stays clean.
+ *    the healthy substrate stays clean;
+ *  - results do not depend on the replay-thread count, and the
+ *    campaign runner hands a lone group its whole thread budget.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "check/invariant_auditor.hh"
+#include "harness/runner.hh"
 #include "sim/multi_config_engine.hh"
 
 namespace seesaw {
@@ -313,6 +319,195 @@ TEST(MultiConfigEngine, DesyncedSubstrateTripsItsOwnAudits)
     engine.auditor(1)->runAll(0);
     EXPECT_EQ(violations[0], 0u) << "healthy substrate flagged";
     EXPECT_GT(violations[1], 0u) << "desynced substrate not caught";
+}
+
+// --- Replay threads ---------------------------------------------------
+
+/**
+ * Run @p configs as one pass at 1, 2, 3 and 8 replay threads. Every
+ * run must equal each config's solo SimEngine run, and so every other
+ * thread count, and no audit may fire. @p lockstep: the group audits
+ * Periodic/Paranoid and must replay on the calling thread alone.
+ */
+void
+expectSameAtEveryThreadCount(const std::vector<SystemConfig> &configs,
+                             const WorkloadSpec &workload,
+                             bool lockstep = false)
+{
+    std::vector<RunResult> solo;
+    for (const SystemConfig &cfg : configs)
+        solo.push_back(SimEngine(cfg, workload).run());
+
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+        MultiConfigEngine engine(configs, workload, threads);
+        const unsigned expected =
+            lockstep ? 1u
+                     : std::min(threads,
+                                static_cast<unsigned>(configs.size()));
+        EXPECT_EQ(engine.replayThreads(), expected);
+        std::uint64_t violations = 0;
+        for (unsigned s = 0; s < engine.substrates(); ++s) {
+            if (check::InvariantAuditor *auditor = engine.auditor(s)) {
+                auditor->setViolationHandler(
+                    [&violations](const check::Violation &) {
+                        ++violations;
+                    });
+            }
+        }
+        const std::vector<RunResult> one_pass = engine.run();
+        EXPECT_EQ(violations, 0u) << threads << " threads";
+        ASSERT_EQ(one_pass.size(), configs.size());
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            expectSameResult(one_pass[i], solo[i],
+                             std::to_string(threads) +
+                                 " threads, substrate " +
+                                 std::to_string(i));
+        }
+    }
+}
+
+TEST(MultiConfigEngineReplay, SixDesignsAtEveryThreadCount)
+{
+    std::vector<SystemConfig> configs;
+    for (L1Kind kind :
+         {L1Kind::ViptBaseline, L1Kind::Pipt, L1Kind::Seesaw,
+          L1Kind::ViptWayPredicted, L1Kind::SeesawWayPredicted,
+          L1Kind::Sipt})
+        configs.push_back(baseConfig(kind));
+    expectSameAtEveryThreadCount(configs, testWorkload());
+}
+
+TEST(MultiConfigEngineReplay, OsEventScheduleAtEveryThreadCount)
+{
+    // Promotions, splinters and context switches land inside batches:
+    // their substrate side must replay at the recorded step.
+    std::vector<SystemConfig> configs;
+    for (L1Kind kind :
+         {L1Kind::Seesaw, L1Kind::SeesawWayPredicted,
+          L1Kind::ViptBaseline}) {
+        SystemConfig cfg = baseConfig(kind);
+        cfg.promotionInterval = 5'000;
+        cfg.splinterInterval = 15'000;
+        cfg.contextSwitchInterval = 20'000;
+        configs.push_back(cfg);
+    }
+    expectSameAtEveryThreadCount(configs, testWorkload());
+}
+
+TEST(MultiConfigEngineReplay, InstructionCachePathAtEveryThreadCount)
+{
+    WorkloadSpec w = testWorkload();
+    w.codeFootprintBytes = 8ULL << 20;
+    std::vector<SystemConfig> configs;
+    for (L1Kind kind : {L1Kind::Seesaw, L1Kind::ViptBaseline}) {
+        SystemConfig cfg = baseConfig(kind);
+        cfg.modelInstructionCache = true;
+        configs.push_back(cfg);
+    }
+    SystemConfig mixed = baseConfig(L1Kind::Seesaw);
+    mixed.modelInstructionCache = true;
+    mixed.icacheKind = SystemConfig::ICacheKind::Vipt;
+    configs.push_back(mixed);
+    expectSameAtEveryThreadCount(configs, w);
+}
+
+TEST(MultiConfigEngineReplay, FourCoreDirectoryAtEveryThreadCount)
+{
+    std::vector<SystemConfig> configs;
+    for (L1Kind kind :
+         {L1Kind::Seesaw, L1Kind::ViptBaseline, L1Kind::Pipt}) {
+        SystemConfig cfg = baseConfig(kind);
+        cfg.cores = 4;
+        cfg.fabric = CoherenceKind::Directory;
+        cfg.promotionInterval = 10'000;
+        configs.push_back(cfg);
+    }
+    expectSameAtEveryThreadCount(configs, testWorkload());
+}
+
+TEST(MultiConfigEngineReplay, ParanoidAuditsReplayInLockstep)
+{
+    // Paranoid audits read the shared OS and TLB state after every
+    // step, so the pass must replay each step before the next is
+    // drawn — on one thread, whatever the budget. A front end running
+    // ahead would splinter pages the substrates' TFTs still cover.
+    std::vector<SystemConfig> configs;
+    for (L1Kind kind : {L1Kind::Seesaw, L1Kind::ViptBaseline}) {
+        SystemConfig cfg = baseConfig(kind);
+        cfg.instructions = 4'000;
+        cfg.warmupInstructions = 1'000;
+        cfg.promotionInterval = 1'000;
+        cfg.splinterInterval = 500;
+        cfg.contextSwitchInterval = 2'000;
+        cfg.audit.mode = check::AuditMode::Paranoid;
+        configs.push_back(cfg);
+    }
+    if (!check::kAuditCompiledIn)
+        GTEST_SKIP() << "audit layer compiled out";
+    expectSameAtEveryThreadCount(configs, testWorkload(),
+                                 /*lockstep=*/true);
+}
+
+/** A campaign of one one-pass group of four designs. */
+harness::CampaignSpec
+loneGroupSpec()
+{
+    harness::CampaignSpec spec("replay-threads");
+    const std::pair<const char *, L1Kind> designs[] = {
+        {"vipt", L1Kind::ViptBaseline},
+        {"seesaw", L1Kind::Seesaw},
+        {"pipt", L1Kind::Pipt},
+        {"sipt", L1Kind::Sipt},
+    };
+    for (const auto &[name, kind] : designs) {
+        SystemConfig cfg = baseConfig(kind);
+        cfg.instructions = 10'000;
+        cfg.warmupInstructions = 2'000;
+        spec.cell(name, testWorkload(), cfg);
+    }
+    return spec;
+}
+
+harness::CampaignOutcome
+runOnePass(const harness::CampaignSpec &spec, unsigned jobs)
+{
+    harness::RunnerOptions options;
+    options.jobs = jobs;
+    options.progress = false;
+    options.onePass = true;
+    return harness::CampaignRunner(options).run(spec);
+}
+
+TEST(MultiConfigEngineReplay, RunnerHandsALoneGroupItsJobs)
+{
+    const harness::CampaignSpec spec = loneGroupSpec();
+    const harness::CampaignOutcome wide = runOnePass(spec, 4);
+    const harness::CampaignOutcome narrow = runOnePass(spec, 1);
+    EXPECT_EQ(wide.replayThreads, 4u);
+    EXPECT_EQ(narrow.replayThreads, 1u);
+    ASSERT_EQ(wide.results.size(), narrow.results.size());
+    for (std::size_t i = 0; i < wide.results.size(); ++i)
+        expectSameResult(wide.results[i].result,
+                         narrow.results[i].result,
+                         wide.results[i].name);
+}
+
+TEST(MultiConfigEngineReplay, PooledGroupsReplayOnOneThreadEach)
+{
+    // Two groups (two workloads) share the runner's pool, which
+    // already spends the thread budget.
+    harness::CampaignSpec spec = loneGroupSpec();
+    WorkloadSpec other = testWorkload();
+    other.footprintBytes = 16ULL << 20;
+    for (const auto &[name, kind] :
+         {std::pair{"small-vipt", L1Kind::ViptBaseline},
+          std::pair{"small-seesaw", L1Kind::Seesaw}}) {
+        SystemConfig cfg = baseConfig(kind);
+        cfg.instructions = 10'000;
+        cfg.warmupInstructions = 2'000;
+        spec.cell(name, other, cfg);
+    }
+    EXPECT_EQ(runOnePass(spec, 4).replayThreads, 1u);
 }
 
 } // namespace
