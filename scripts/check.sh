@@ -4,8 +4,8 @@
 #   default    -Wall -Wextra -Werror build, full test suite
 #   audit-off  verify the hooks compile out cleanly (SEESAW_AUDIT=OFF)
 #   asan-ubsan AddressSanitizer + UBSan build, full test suite
-#   tsan       ThreadSanitizer build, threaded harness tests + a
-#              2-worker smoke campaign
+#   tsan       ThreadSanitizer build, threaded harness and one-pass
+#              tests + a 2-worker smoke campaign and a one-pass sweep
 #   tidy       clang-tidy over the compilation database (skipped with a
 #              notice when clang-tidy is not installed)
 #   lint       project-discipline checks: configHash drift, NOLINT
@@ -72,13 +72,17 @@ for stage in "${stages[@]}"; do
         banner "TSan build + threaded smoke"
         cmake -S "$repo" -B "$repo/build-tsan" -DSEESAW_SANITIZE=tsan
         cmake --build "$repo/build-tsan" -j "$jobs"
-        # The harness owns all the threading; run its suites plus a
-        # parallel campaign so real worker interleavings execute.
+        # The harness and the one-pass substrate replay own all the
+        # threading; run their suites plus parallel campaigns so real
+        # worker interleavings execute.
         ctest --test-dir "$repo/build-tsan" --output-on-failure \
-            -R 'ThreadPool|Campaign|Sink'
+            -R 'ThreadPool|Campaign|Sink|MultiConfigEngine'
         "$repo/build-tsan/examples/campaign" --campaign tsan-smoke \
             --workloads redis,mcf --l1 32K --jobs 2 \
             --instructions 50000 --quiet
+        "$repo/build-tsan/examples/campaign" --campaign tsan-one-pass \
+            --workloads redis --l1 32K,64K --designs vipt,seesaw \
+            --one-pass on --jobs 4 --instructions 50000 --quiet
         ;;
     tidy)
         banner "clang-tidy"
