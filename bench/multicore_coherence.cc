@@ -7,22 +7,23 @@
  * the per-probe energy gap (§IV-C1: 4-way vs full-set lookups) and
  * the share of SEESAW's L1 energy savings that coherence contributes.
  *
- * Runs as a parallel campaign of explicit cells — one SimEngine per
- * (workload, cores, design) — archiving every native RunResult to
- * results/multicore_coherence.{json,csv}.
+ * Runs as a parallel campaign of explicit cells — one per (workload,
+ * cores, design) — archiving every native RunResult to
+ * results/multicore_coherence.{json,csv}. With --one-pass on, each
+ * (workload, cores) pair's vipt and seesaw cells share one pass.
  */
 
 #include <cstdio>
 
 #include "bench_common.hh"
-#include "sim/sim_engine.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace seesaw;
     using namespace seesaw::bench;
 
+    const harness::RunnerOptions options = parseBenchArgs(argc, argv);
     printBanner("Multi-core coherence",
                 "exact-directory MOESI, threads sharing one heap "
                 "(64KB L1s, OoO, 1.33GHz)");
@@ -49,14 +50,11 @@ main()
                 const std::string cell_name =
                     std::string(name) + "/c" + std::to_string(cores) +
                     "/" + designLabel(kind);
-                spec.cell(
-                    cell_name,
-                    [cfg, w] { return SimEngine(cfg, w).run(); },
-                    cfg.seed);
+                spec.cell(cell_name, w, cfg);
             }
         }
     }
-    const auto outcome = runBenchCampaign(spec);
+    const auto outcome = runBenchCampaign(spec, options);
 
     TableReporter table({"workload", "cores", "probes/kinstr",
                          "c2c/kinstr", "coh energy share",

@@ -1,7 +1,7 @@
 /**
  * @file
  * The InvariantAuditor: a registry of named invariant checks that the
- * engine (sim/sim_engine.hh) invokes at a configurable
+ * engine (sim/multi_config_engine.hh) invokes at a configurable
  * cadence — every N events, on coherence transitions, and at end of
  * run. A violation produces a structured report (check name, core,
  * address, cycle, detail) and, by default, aborts the process; tests

@@ -1,7 +1,7 @@
 /**
  * @file
  * Pluggable coherence fabrics for the unified N-core engine
- * (sim/sim_engine.hh). A CoherenceFabric sits between the per-core
+ * (sim/multi_config_engine.hh). A CoherenceFabric sits between the per-core
  * CoreComplexes and decides which remote L1s each access must probe:
  *
  *  - DirectoryFabric: an exact MOESI directory (Table II) — every

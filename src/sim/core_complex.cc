@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace seesaw {
@@ -31,8 +30,8 @@ CoreComplex::CoreComplex(const SystemConfig &config,
     }
     // Replacement seeds decorrelate per structure AND per core: the
     // hierarchy salts each level on top of this per-core base. A
-    // MultiConfigEngine's shared TLB groups derive the identical seed
-    // (sim/multi_config_engine.cc), keeping one-pass runs bit-equal.
+    // MultiConfigEngine TLB group borrows its exemplar complex's
+    // hierarchy, so every member sees these seeds.
     tlb_params.replacement =
         withSeedSalt(config_.replacement, core_seed ^ 0x71bULL);
     tlb_ = std::make_unique<TlbHierarchy>(tlb_params, os_.pageTable());
@@ -184,8 +183,8 @@ CoreComplex::CoreComplex(const SystemConfig &config,
     // Wire the superpage hook into the TLB hierarchy: every 2MB L1 TLB
     // fill marks the region in the owning side's TFT (Fig 5;
     // markTftRegion routes I- vs D-side). A MultiConfigEngine
-    // re-points this at a shared group TLB whose hook reaches every
-    // member complex.
+    // re-points the hook of a TLB it shares across a group so it
+    // reaches every member complex.
     if (seesawD_ || seesawI_) {
         tlb_->setOn2MBFill(
             [this](Asid, Addr va_base) { markTftRegion(va_base); });
@@ -324,30 +323,6 @@ CoreComplex::doInstructionFetches(std::uint64_t instructions)
         SEESAW_ASSERT(!tr.fault, "text segment must be premapped");
         finishFetch(va, tr, tft_probe);
     }
-}
-
-bool
-CoreComplex::doMemoryAccess(const MemRef &ref, CoherenceFabric *fabric)
-{
-    // 0. Pre-TLB TFT probe.
-    const int tft_probe = probeDataTft(ref.va);
-
-    // 1. Translate (the L1 TLB probe runs in parallel with L1 set
-    //    selection; only L2-TLB latency and walks are exposed).
-    TlbLookupResult tr = activeTlb_->lookup(asid_, ref.va);
-    chargeTranslation(tr);
-    if (tr.fault) {
-        // Demand-page and retry. Synthetic footprints are premapped so
-        // this is rare; trace replay relies on it. The whole 2MB chunk
-        // is populated so THP can back it (Linux fault-around).
-        os_.mapAnonymous(asid_, alignDown(ref.va, 2 * 1024 * 1024),
-                         2 * 1024 * 1024,
-                         workload_.thpEligibleFraction);
-        tr = activeTlb_->lookup(asid_, ref.va);
-        SEESAW_ASSERT(!tr.fault, "fault persists after demand paging");
-    }
-
-    return finishMemoryAccess(ref, tr, tft_probe, fabric);
 }
 
 bool

@@ -4,9 +4,10 @@
  * model, its TLB hierarchy and TFT, an L1D of the configured design,
  * the optional L1I, the private L2 (plus an LLC reference — its own at
  * cores=1, the engine's shared one otherwise) and the per-core
- * reference/fetch streams. The SimEngine (sim/sim_engine.hh) drives N
- * of these over a coherence fabric; every per-access path lives here
- * so cores=1 executes exactly the classic single-core system.
+ * reference/fetch streams. The engine (sim/multi_config_engine.hh)
+ * drives N of these per substrate over a coherence fabric, composing
+ * the per-access phases declared here, so cores=1 executes exactly the
+ * classic single-core system.
  */
 
 #ifndef SEESAW_SIM_CORE_COMPLEX_HH
@@ -29,7 +30,7 @@
 namespace seesaw {
 
 /**
- * Per-core unit of the SimEngine. Construction mirrors the original
+ * Per-core unit of the engine. Construction mirrors the original
  * single-core System exactly (same component order, same RNG salts on
  * the per-core seed) so that core 0 of a cores=1 engine is
  * bit-identical to the pre-refactor System.
@@ -53,24 +54,20 @@ class CoreComplex
     /** Next reference from the trace or the synthetic stream. */
     MemRef nextRef();
 
-    /**
-     * Handle one memory reference end to end. @p fabric is null for
-     * single-core runs (synthetic probe load instead).
-     * @return true when the access was a write or an L1 miss — the
-     *         events that can change global coherence state.
-     */
-    bool doMemoryAccess(const MemRef &ref, CoherenceFabric *fabric);
-
-    /** Account instruction fetches for @p instructions committed. */
+    /** Account instruction fetches for @p instructions committed: for
+     *  each line, probeCodeTft, a lookup in the active TLB,
+     *  chargeTranslation and finishFetch. */
     void doInstructionFetches(std::uint64_t instructions);
 
     /**
-     * @name One-pass decomposition (sim/multi_config_engine.hh).
+     * @name Per-access phases (sim/multi_config_engine.hh).
      *
-     * doMemoryAccess/doInstructionFetches are compositions of these
-     * phases; a MultiConfigEngine interleaves the same phases across
-     * substrates around one shared TLB lookup per access so that each
-     * substrate's state sequence is bit-identical to a solo run.
+     * One data access is: probeDataTft, a TLB lookup (on a fault:
+     * demand paging and a second lookup), chargeTranslation of the
+     * first lookup, then finishMemoryAccess of the last. The engine
+     * runs the lookups once per TLB group on its front end and replays
+     * the other phases per substrate, so each substrate's state
+     * sequence is bit-identical to a solo run.
      */
     /// @{
 
@@ -89,10 +86,14 @@ class CoreComplex
      */
     void chargeTranslation(const TlbLookupResult &tr);
 
-    /** Steps 2-6 of a data access: fabric ordering, L1 access, miss
-     *  handling, core timing, TLB penalty. @p tr is the final
-     *  (non-faulting) lookup result and @p superpages_ample the TLB's
-     *  superpagesAmple() right after it (the scheduler's counter). */
+    /** Steps 2-7 of a data access: fabric ordering, L1 access, miss
+     *  handling, core timing, TLB penalty, prefetch. @p fabric is null
+     *  for single-core runs (synthetic probe load instead). @p tr is
+     *  the final (non-faulting) lookup result and @p superpages_ample
+     *  the TLB's superpagesAmple() right after it (the scheduler's
+     *  counter). @return true when the access was a write, an L1
+     *  miss or issued a prefetch — the events that can change global
+     *  coherence state. */
     bool finishMemoryAccess(const MemRef &ref, const TlbLookupResult &tr,
                             int tft_probe, CoherenceFabric *fabric,
                             bool superpages_ample);

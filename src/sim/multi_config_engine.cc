@@ -12,15 +12,25 @@
 #include "common/jobs.hh"
 #include "common/logging.hh"
 #include "common/thread_annotations.hh"
+#include "sim/sim_engine.hh"
 
 namespace seesaw {
 
 namespace {
 
-/** Steps per replay batch (about 0.8MB of records with one TLB
- *  group). Replay throughput on the fig12 sweep is flat from 2K to 8K
- *  steps; 8K makes crew hand-offs rare. */
+/** Steps per batch when a pass has several substrates (about 0.8MB
+ *  of records with one TLB group). A batch replays substrate after
+ *  substrate, so it must be long enough to amortize reloading each
+ *  substrate's tag stores into the host caches, and a crew's
+ *  hand-offs. Replay throughput on the fig12 sweep is flat from 2K to
+ *  8K steps. */
 constexpr std::size_t kBatchSteps = 8192;
+
+/** Steps per batch of a one-substrate pass. There is nothing to
+ *  switch between, only recording and replaying; about 100KB of
+ *  records stays cache-resident and adds no measurable peak memory to
+ *  a solo run. */
+constexpr std::size_t kSoloBatchSteps = 1024;
 
 /** The TLB geometry a config implies (sim/core_complex.cc order):
  *  substrates matching on this share one hierarchy per core. The
@@ -37,19 +47,6 @@ tlbGeometryKey(const SystemConfig &config)
        << config.replacement.rripBits << '|'
        << config.replacement.seed;
     return os.str();
-}
-
-TlbHierarchyParams
-tlbParamsFor(const SystemConfig &config)
-{
-    TlbHierarchyParams params = config.coreKind == CoreKind::InOrder
-                                    ? TlbHierarchyParams::atom()
-                                    : TlbHierarchyParams::sandybridge();
-    if (config.unifiedL1Tlb) {
-        params.unifiedL1 = true;
-        params.unifiedL1Entries = config.unifiedL1TlbEntries;
-    }
-    return params;
 }
 
 } // namespace
@@ -104,8 +101,8 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
                       frontEndKey(front), " vs ", frontEndKey(c));
     }
 
-    // --- Shared front end, in SimEngine's construction order: OS and
-    // physical memory first (fragment, then map the footprint).
+    // --- Shared front end: OS and physical memory first (fragment,
+    // then map the footprint).
     OsParams os_params = front.os;
     os_params.seed ^= front.seed;
     os_ = std::make_unique<OsMemoryManager>(os_params);
@@ -113,8 +110,10 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
     memhog_->consume(front.memhogFraction);
 
     asid_ = os_->createProcess();
-    heapBase_ = Addr{1} << 40;
+    heapBase_ = Addr{1} << 40; // 1GB-aligned heap base
     if (front.useOneGbHeap) {
+        // §IV generalisation: back the heap with 1GB pages where the
+        // allocator can find gigabyte contiguity, THP elsewhere.
         const Addr gb = Addr{1} << 30;
         Addr off = 0;
         while (off < workload_.footprintBytes &&
@@ -130,6 +129,8 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
         os_->mapAnonymous(asid_, heapBase_, workload_.footprintBytes,
                           workload_.thpEligibleFraction);
     }
+    // The text segment is shared by all cores; map it once before the
+    // complexes build their fetch streams.
     if (front.modelInstructionCache) {
         textBase_ = Addr{2} << 40;
         os_->mapAnonymous(asid_, textBase_,
@@ -137,34 +138,19 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
                           front.codeThpEligibleFraction);
     }
 
-    // --- TLB groups: one shared hierarchy per distinct geometry per
-    // core. Construction precedes the substrates so each complex can
-    // be re-pointed at its group as it is built.
+    // --- TLB groups: substrates implying one TLB geometry share one
+    // hierarchy per core. The group's first member (its exemplar)
+    // lends its own; each complex salts its TLB's replacement seed
+    // per core exactly as a solo run does.
     std::vector<std::size_t> group_of(configs_.size());
     std::vector<std::string> keys;
     for (std::size_t i = 0; i < configs_.size(); ++i) {
         const std::string key = tlbGeometryKey(configs_[i]);
         auto it = std::find(keys.begin(), keys.end(), key);
+        group_of[i] = static_cast<std::size_t>(it - keys.begin());
         if (it == keys.end()) {
             keys.push_back(key);
-            TlbGroup group;
-            group.exemplar = i;
-            TlbHierarchyParams params = tlbParamsFor(configs_[i]);
-            for (unsigned c = 0; c < front.cores; ++c) {
-                // Same per-core seed derivation as CoreComplex, so a
-                // group member's state sequence is bit-identical to
-                // its solo run.
-                params.replacement = withSeedSalt(
-                    configs_[i].replacement,
-                    SimEngine::coreSeed(front.seed, c) ^ 0x71bULL);
-                group.tlbs.push_back(std::make_unique<TlbHierarchy>(
-                    params, os_->pageTable()));
-            }
-            groups_.push_back(std::move(group));
-            group_of[i] = groups_.size() - 1;
-        } else {
-            group_of[i] =
-                static_cast<std::size_t>(it - keys.begin());
+            groups_.push_back({i, {}});
         }
     }
 
@@ -175,21 +161,29 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
         sub.config = &configs_[i];
         sub.tlbGroup = group_of[i];
         sub.energy = std::make_unique<EnergyModel>(latency_.sram());
+        // Multi-core systems share one LLC behind the private L2s; a
+        // single-core complex keeps its private LLC (original System).
         if (front.cores > 1) {
             sub.sharedLlc = std::make_unique<SetAssocCache>(
                 sub.config->outer.llcSizeBytes,
                 sub.config->outer.llcAssoc);
         }
+        TlbGroup &group = groups_[sub.tlbGroup];
         for (unsigned c = 0; c < front.cores; ++c) {
-            sub.complexes.push_back(std::make_unique<CoreComplex>(
-                *sub.config, workload_, latency_, *os_, *sub.energy,
-                asid_, heapBase_, textBase_, static_cast<CoreId>(c),
-                SimEngine::coreSeed(front.seed, c),
-                sub.sharedLlc.get()));
-            sub.complexes.back()->setActiveTlb(
-                groups_[sub.tlbGroup].tlbs[c].get());
+            CoreComplex &cx =
+                *sub.complexes.emplace_back(std::make_unique<CoreComplex>(
+                    *sub.config, workload_, latency_, *os_, *sub.energy,
+                    asid_, heapBase_, textBase_, static_cast<CoreId>(c),
+                    SimEngine::coreSeed(front.seed, c),
+                    sub.sharedLlc.get()));
+            if (group.exemplar == i)
+                group.tlbs.push_back(&cx.tlb());
+            else
+                cx.setActiveTlb(group.tlbs[c]);
         }
         if (front.cores > 1) {
+            // Probe latency models directory/bus indirection plus the
+            // remote round trip — the engine charges its LLC latency.
             const unsigned probe_cycles =
                 sub.complexes[0]->outer().llcCycles();
             switch (sub.config->fabric) {
@@ -212,11 +206,11 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
         setupAuditor(sub);
     }
 
-    // --- Group superpage hooks: a 2MB fill in a shared TLB must mark
-    // the TFT of *every* member substrate, each routing I- vs D-side
-    // by its own shape (bit-identical to each member's solo hook).
-    // During run() the mark is recorded into the step and applied by
-    // each member's replay.
+    // --- Group superpage hooks: re-point each exemplar TLB's hook so a
+    // 2MB fill marks the TFT of *every* member substrate, each routing
+    // I- vs D-side by its own shape (bit-identical to each member's
+    // solo hook). During run() the mark is recorded into the step and
+    // applied by each member's replay.
     for (std::size_t g = 0; g < groups_.size(); ++g) {
         for (unsigned c = 0; c < front.cores; ++c) {
             groups_[g].tlbs[c]->setOn2MBFill(
@@ -253,19 +247,23 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
     // --- Replay pipeline. Periodic/Paranoid audits read the shared OS
     // and TLB state mid-run, so such a pass replays every step before
     // the front end moves on, on the calling thread.
+    bool lockstep = false;
     for (const Substrate &sub : substrates_) {
         if (sub.auditor &&
             (sub.config->audit.mode == check::AuditMode::Periodic ||
              sub.config->audit.mode == check::AuditMode::Paranoid))
-            lockstep_ = true;
+            lockstep = true;
     }
     const auto count = static_cast<unsigned>(substrates_.size());
     replayThreads_ =
-        lockstep_ ? 1
-                  : std::clamp(replay_threads ? replay_threads
-                                              : defaultJobs(),
-                               1u, count);
-    batchSteps_ = lockstep_ ? 1 : kBatchSteps;
+        lockstep ? 1
+                 : std::clamp(replay_threads ? replay_threads
+                                             : defaultJobs(),
+                              1u, count);
+    if (lockstep)
+        batchSteps_ = 1;
+    else
+        batchSteps_ = count > 1 ? kBatchSteps : kSoloBatchSteps;
 }
 
 MultiConfigEngine::~MultiConfigEngine() = default;
@@ -465,7 +463,7 @@ MultiConfigEngine::applyPromotion(const PromotionEvent &event)
     // Shoot down the 512 stale base-page translations once per shared
     // TLB; every substrate then sweeps and stalls (§IV-C2).
     for (TlbGroup &group : groups_) {
-        for (auto &tlb : group.tlbs) {
+        for (TlbHierarchy *tlb : group.tlbs) {
             for (unsigned i = 0; i < 512; ++i)
                 tlb->invalidatePage(event.asid,
                                     event.vaBase + i * 4096ULL);
@@ -486,7 +484,7 @@ void
 MultiConfigEngine::applySplinter(const SplinterEvent &event)
 {
     for (TlbGroup &group : groups_) {
-        for (auto &tlb : group.tlbs)
+        for (TlbHierarchy *tlb : group.tlbs)
             tlb->invalidatePage(event.asid, event.vaBase);
     }
     EventRecord record;
@@ -501,7 +499,7 @@ MultiConfigEngine::unmapBroadcast(Addr va_base, std::uint64_t bytes)
     os_->unmapRange(asid_, va_base, bytes);
     const Addr end = va_base + alignUp(bytes, 4096);
     for (TlbGroup &group : groups_) {
-        for (auto &tlb : group.tlbs) {
+        for (TlbHierarchy *tlb : group.tlbs) {
             for (Addr va = alignDown(va_base, 4096); va < end;
                  va += 4096)
                 tlb->invalidatePage(asid_, va);
@@ -739,21 +737,25 @@ MultiConfigEngine::replay(Substrate &sub, const StepBatch &batch)
 }
 
 void
-MultiConfigEngine::dispatch(ReplayCrew &crew)
+MultiConfigEngine::dispatch(ReplayCrew *crew)
 {
     if (filling_->steps.empty())
         return;
-    crew.finish();
-    crew.start(*filling_);
+    if (!crew) {
+        for (Substrate &sub : substrates_)
+            replay(sub, *filling_);
+        filling_->clear();
+        return;
+    }
+    crew->finish();
+    crew->start(*filling_);
     filling_ = filling_ == &batches_[0] ? &batches_[1] : &batches_[0];
     filling_->clear();
-    if (lockstep_)
-        crew.finish();
 }
 
 void
 MultiConfigEngine::runLoop(std::uint64_t per_core_budget,
-                           ReplayCrew &crew)
+                           ReplayCrew *crew)
 {
     std::vector<std::uint64_t> retired(cores_.size(), 0);
     bool progress = true;
@@ -769,7 +771,8 @@ MultiConfigEngine::runLoop(std::uint64_t per_core_budget,
         }
     }
     dispatch(crew);
-    crew.finish();
+    if (crew)
+        crew->finish();
 }
 
 void
@@ -789,19 +792,23 @@ MultiConfigEngine::run()
 {
     const SystemConfig &front = configs_.front();
     // The batches live only while the pass runs: allocated after all
-    // setup and released before results are collected.
-    for (StepBatch &batch : batches_) {
-        batch.steps.reserve(batchSteps_);
-        batch.lookups.reserve(batchSteps_ * groups_.size());
+    // setup and released before results are collected. Inline replay
+    // refills the first batch only.
+    const std::size_t buffers = replayThreads_ > 1 ? 2 : 1;
+    for (std::size_t b = 0; b < buffers; ++b) {
+        batches_[b].steps.reserve(batchSteps_);
+        batches_[b].lookups.reserve(batchSteps_ * groups_.size());
     }
     {
-        ReplayCrew crew(*this, replayThreads_);
+        std::unique_ptr<ReplayCrew> crew;
+        if (replayThreads_ > 1)
+            crew = std::make_unique<ReplayCrew>(*this, replayThreads_);
         recording_ = true;
         if (front.warmupInstructions > 0) {
-            runLoop(front.warmupInstructions, crew);
+            runLoop(front.warmupInstructions, crew.get());
             resetMeasurement();
         }
-        runLoop(front.instructions, crew);
+        runLoop(front.instructions, crew.get());
         recording_ = false;
     }
     batches_ = {};

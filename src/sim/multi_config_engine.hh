@@ -1,14 +1,15 @@
 /**
  * @file
- * One-pass multi-configuration simulation: a single trace pass drives
- * N per-config substrates (L1/L2 tag stores, TLB groups, TFT, way
- * predictor, energy and stat groups) over one config-invariant front
- * end (workload streams, page table, translation cache, OS memory
- * manager, per-core RNGs). OS events — promotion, splinter, unmap,
+ * The simulator's one run loop: a single trace pass drives N
+ * per-config substrates (L1/L2 tag stores, TFT, way predictor, energy
+ * and stat groups) over one config-invariant front end (workload
+ * streams, page table, translation cache, OS memory manager, TLB
+ * groups, per-core RNGs). OS events — promotion, splinter, unmap,
  * context switch — broadcast to every substrate, and each substrate's
  * state sequence is bit-identical to running its configuration alone
- * through SimEngine (the DEW structure, arXiv 1506.03181, applied to
- * the SEESAW design space).
+ * (the DEW structure, arXiv 1506.03181, applied to the SEESAW design
+ * space). A solo run is the N=1 case: SimEngine (sim/sim_engine.hh)
+ * is a facade over a one-substrate engine.
  *
  * What is shared and what forks:
  *  - Shared, exactly once per pass: the OS memory manager (buddy
@@ -16,8 +17,10 @@
  *    fragmentation, the per-core reference/fetch streams, the OS-event
  *    RNG and schedule (keyed on retired instructions, which every
  *    substrate agrees on by construction), and one TLB hierarchy per
- *    *TLB group* — substrates whose configs imply identical TLB
- *    geometry share lookups; others get their own hierarchy.
+ *    core per *TLB group* — substrates whose configs imply identical
+ *    TLB geometry share lookups. A group borrows its first member's
+ *    own per-core hierarchies; later members point their per-access
+ *    paths at them.
  *  - Forked per substrate: L1D/L1I tag stores and TFTs, way
  *    predictors, private L2s + LLC, the coherence fabric, CPU timing,
  *    the energy model, and the invariant auditor (per-substrate audit
@@ -31,10 +34,11 @@
  * and appends one step record per access to a batch. Each substrate
  * then replays the batch on its own: the recorded lookups, TFT marks
  * and OS events drive exactly the operations, in exactly the order, a
- * solo SimEngine run performs. Substrates never feed back into the
- * front end, so batches replay on a small thread crew while the front
- * end fills the next one, and every result stays bit-identical at any
- * thread count.
+ * solo run performs. Substrates never feed back into the front end,
+ * so with several replay threads the batches replay on a small crew
+ * while the front end fills the next one; with one replay thread the
+ * calling thread replays each batch in place as soon as it fills.
+ * Every result stays bit-identical at any thread count.
  */
 
 #ifndef SEESAW_SIM_MULTI_CONFIG_ENGINE_HH
@@ -45,7 +49,11 @@
 #include <string>
 #include <vector>
 
-#include "sim/sim_engine.hh"
+#include "sim/core_complex.hh"
+
+namespace seesaw::check {
+class InvariantAuditor;
+} // namespace seesaw::check
 
 namespace seesaw {
 
@@ -63,8 +71,9 @@ class MultiConfigEngine
      *        min(substrates, defaultJobs()). Clamped to
      *        [1, substrates], and forced to 1 when any substrate
      *        audits Periodic/Paranoid (those audits read shared state
-     *        mid-run, so the pass runs in lockstep). Results do not
-     *        depend on it.
+     *        mid-run, so the pass runs in lockstep). One thread
+     *        replays inline, with no crew. Results do not depend on
+     *        it.
      */
     MultiConfigEngine(std::vector<SystemConfig> configs,
                       const WorkloadSpec &workload,
@@ -98,9 +107,29 @@ class MultiConfigEngine
     {
         return configs_[substrate];
     }
+    /** Simulated cores (every substrate has the same count). */
+    unsigned cores() const
+    {
+        return static_cast<unsigned>(cores_.size());
+    }
     CoreComplex &complex(unsigned substrate, unsigned core = 0)
     {
         return *substrates_[substrate].complexes[core];
+    }
+    EnergyModel &energy(unsigned substrate)
+    {
+        return *substrates_[substrate].energy;
+    }
+    /** @p substrate's coherence fabric (cores>1), or nullptr. */
+    CoherenceFabric *fabric(unsigned substrate)
+    {
+        return substrates_[substrate].fabric.get();
+    }
+    /** @p substrate's exact directory, or nullptr unless a cores>1
+     *  directory fabric is active. */
+    ExactDirectory *directory(unsigned substrate)
+    {
+        return substrates_[substrate].directory;
     }
     /** The shared TLB hierarchy serving @p substrate on @p core. */
     TlbHierarchy &tlb(unsigned substrate, unsigned core = 0)
@@ -131,11 +160,12 @@ class MultiConfigEngine
     class ReplayCrew;
 
     /** Substrates sharing one TLB geometry share one hierarchy per
-     *  core; the group's superpage hook broadcasts to every member. */
+     *  core: the exemplar's own, whose superpage hook the engine
+     *  re-points to broadcast to every member. */
     struct TlbGroup
     {
-        std::size_t exemplar = 0; //!< config index defining geometry
-        std::vector<std::unique_ptr<TlbHierarchy>> tlbs; //!< per core
+        std::size_t exemplar = 0; //!< first member; lends its TLBs
+        std::vector<TlbHierarchy *> tlbs; //!< per core, exemplar-owned
     };
 
     /** Everything that forks per configuration. */
@@ -254,10 +284,12 @@ class MultiConfigEngine
     void replayEvent(Substrate &sub, const StepBatch &batch,
                      const EventRecord &event, CoreId c);
 
-    void runLoop(std::uint64_t per_core_budget, ReplayCrew &crew);
-    /** Hand the filling batch to the crew (after the previous batch
-     *  finishes) and start filling the other one. */
-    void dispatch(ReplayCrew &crew);
+    /** @p crew is null with one replay thread. */
+    void runLoop(std::uint64_t per_core_budget, ReplayCrew *crew);
+    /** Replay the filling batch: inline when @p crew is null, then
+     *  refill the same batch; otherwise hand it to the crew (after the
+     *  previous batch finishes) and start filling the other one. */
+    void dispatch(ReplayCrew *crew);
     void resetMeasurement();
     void setupAuditor(Substrate &sub);
 
@@ -282,10 +314,12 @@ class MultiConfigEngine
     /** @name Replay pipeline. */
     /// @{
     unsigned replayThreads_ = 1;
-    /** Periodic/Paranoid audits: replay each step before the front end
-     *  draws the next one. */
-    bool lockstep_ = false;
+    /** 1 in lockstep (Periodic/Paranoid audits: replay each step
+     *  before the front end draws the next one); otherwise set by the
+     *  substrate count. */
     std::size_t batchSteps_ = 1;
+    /** A crew replays one while the front end fills the other; inline
+     *  replay uses only the first. */
     std::array<StepBatch, 2> batches_;
     StepBatch *filling_ = &batches_[0]; //!< the front end's batch
     bool recording_ = false;            //!< inside run()

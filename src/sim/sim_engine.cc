@@ -1,13 +1,12 @@
 #include "sim/sim_engine.hh"
 
-#include <algorithm>
+#include <utility>
 
 #include "check/cache_audits.hh"
 #include "check/coherence_audits.hh"
 #include "check/invariant_auditor.hh"
 #include "check/mem_audits.hh"
 #include "check/tlb_audits.hh"
-#include "common/logging.hh"
 
 namespace seesaw {
 
@@ -27,95 +26,16 @@ SimEngine::coreSeed(std::uint64_t seed, unsigned core)
 
 SimEngine::SimEngine(const SystemConfig &config,
                      const WorkloadSpec &workload)
-    : config_(config), workload_(workload), latency_(TechNode::Intel22),
-      eventRng_(config.seed ^ 0xe7e27ULL)
+    : engine_({config}, workload, 1)
 {
-    SEESAW_ASSERT(config_.cores >= 1 && config_.cores <= 64,
-                  "1-64 cores supported");
-    energy_ = std::make_unique<EnergyModel>(latency_.sram());
-
-    // --- OS and physical memory. Fragment first (long-uptime host),
-    // then map the workload's footprint.
-    OsParams os_params = config_.os;
-    os_params.seed ^= config_.seed;
-    os_ = std::make_unique<OsMemoryManager>(os_params);
-    memhog_ = std::make_unique<Memhog>(*os_, config_.memhog);
-    memhog_->consume(config_.memhogFraction);
-
-    asid_ = os_->createProcess();
-    heapBase_ = Addr{1} << 40; // 1GB-aligned heap base
-    if (config_.useOneGbHeap) {
-        // §IV generalisation: back the heap with 1GB pages where the
-        // allocator can find gigabyte contiguity, THP elsewhere.
-        const Addr gb = Addr{1} << 30;
-        Addr off = 0;
-        while (off < workload_.footprintBytes &&
-               os_->mapOneGbPage(asid_, heapBase_ + off)) {
-            off += gb;
-        }
-        if (off < workload_.footprintBytes) {
-            os_->mapAnonymous(asid_, heapBase_ + off,
-                              workload_.footprintBytes - off,
-                              workload_.thpEligibleFraction);
-        }
-    } else {
-        os_->mapAnonymous(asid_, heapBase_, workload_.footprintBytes,
-                          workload_.thpEligibleFraction);
-    }
-
-    // The text segment is shared by all cores; map it once before the
-    // complexes build their fetch streams.
-    if (config_.modelInstructionCache) {
-        textBase_ = Addr{2} << 40;
-        os_->mapAnonymous(asid_, textBase_,
-                          workload_.codeFootprintBytes,
-                          config_.codeThpEligibleFraction);
-    }
-
-    // Multi-core systems share one LLC behind the private L2s; a
-    // single-core complex keeps its private LLC (original System).
-    if (config_.cores > 1) {
-        sharedLlc_ = std::make_unique<SetAssocCache>(
-            config_.outer.llcSizeBytes, config_.outer.llcAssoc);
-    }
-
-    for (unsigned c = 0; c < config_.cores; ++c) {
-        complexes_.push_back(std::make_unique<CoreComplex>(
-            config_, workload_, latency_, *os_, *energy_, asid_,
-            heapBase_, textBase_, static_cast<CoreId>(c),
-            coreSeed(config_.seed, c), sharedLlc_.get()));
-    }
-
-    if (config_.cores > 1) {
-        // Probe latency models directory/bus indirection plus the
-        // remote round trip — the engine charges its LLC latency.
-        const unsigned probe_cycles =
-            complexes_[0]->outer().llcCycles();
-        switch (config_.fabric) {
-          case CoherenceKind::Directory:
-            fabric_ = std::make_unique<DirectoryFabric>(
-                config_.cores, probe_cycles, *energy_);
-            break;
-          case CoherenceKind::Snoopy:
-            fabric_ = std::make_unique<SnoopFabric>(
-                config_.cores, probe_cycles, *energy_);
-            break;
-          case CoherenceKind::None:
-            fabric_ = std::make_unique<NullFabric>();
-            break;
-        }
-        directory_ = fabric_->directory();
-        for (auto &cx : complexes_)
-            fabric_->attachCore(&cx->l1(), &cx->outer().l2());
-    }
-
-    nextPromotion_ = config_.promotionInterval;
-    nextSplinter_ = config_.splinterInterval;
-
-    setupAuditor();
 }
 
-SimEngine::~SimEngine() = default;
+RunResult
+SimEngine::run()
+{
+    std::vector<RunResult> results = engine_.run();
+    return std::move(results.front());
+}
 
 namespace {
 
@@ -263,207 +183,6 @@ registerSystemAudits(check::InvariantAuditor &auditor,
     }
 }
 
-void
-SimEngine::setupAuditor()
-{
-    if (config_.audit.mode == check::AuditMode::Off)
-        return;
-    if (!check::kAuditCompiledIn) {
-        SEESAW_WARN("audit mode '",
-                    check::auditModeName(config_.audit.mode),
-                    "' requested but the audit layer is compiled out; "
-                    "rebuild with -DSEESAW_AUDIT=ON");
-        return;
-    }
-
-    auditor_ =
-        std::make_unique<check::InvariantAuditor>(config_.audit);
-
-    std::vector<CoreComplex *> cxs;
-    cxs.reserve(complexes_.size());
-    for (auto &cx : complexes_)
-        cxs.push_back(cx.get());
-    registerSystemAudits(*auditor_, config_, std::move(cxs),
-                         sharedLlc_.get(), directory_, *os_, asid_);
-}
-
-void
-SimEngine::applyPromotion(const PromotionEvent &event)
-{
-    // The OS's TLB-invalidation instruction (§IV-C2): shoot down the
-    // 512 stale base-page translations and sweep their lines from
-    // every core's L1. The paper measures the whole operation at
-    // 150-200 cycles.
-    for (auto &cx : complexes_) {
-        for (unsigned i = 0; i < 512; ++i)
-            cx->tlb().invalidatePage(event.asid,
-                                     event.vaBase + i * 4096ULL);
-        for (Addr old_pa : event.oldPaBases)
-            cx->l1().sweepRegion(old_pa, 4096);
-        cx->cpu().addStallCycles(config_.shootdownCycles);
-    }
-    if (directory_) {
-        // The sweep removed any copies of the old frames from every
-        // L1; retire the directory records too (recordEviction is a
-        // no-op for lines the directory never tracked).
-        for (Addr old_pa : event.oldPaBases) {
-            for (CoreId c = 0; c < complexes_.size(); ++c) {
-                for (Addr line = old_pa; line < old_pa + 4096;
-                     line += 64)
-                    directory_->recordEviction(c, line);
-            }
-        }
-    }
-}
-
-void
-SimEngine::applySplinter(const SplinterEvent &event)
-{
-    // invlpg on the old 2MB translation; the microarchitecture also
-    // invalidates the matching TFT entry in parallel (§IV-C2).
-    for (auto &cx : complexes_) {
-        cx->tlb().invalidatePage(event.asid, event.vaBase);
-        if (SeesawCache *cache = cx->seesawL1())
-            cache->tft().invalidateRegion(event.vaBase);
-        cx->cpu().addStallCycles(config_.shootdownCycles);
-    }
-}
-
-void
-SimEngine::osTick(CoreId c)
-{
-    CoreComplex &cx = *complexes_[c];
-    const std::uint64_t retired = cx.retiredTotal_;
-
-    if (config_.contextSwitchInterval &&
-        retired >= cx.nextContextSwitch_) {
-        cx.nextContextSwitch_ += config_.contextSwitchInterval;
-        // The TFT carries no ASID tags; context switches flush it.
-        if (SeesawCache *cache = cx.seesawL1())
-            cache->tft().flush();
-    }
-
-    // OS housekeeping passes are global; core 0's retirement clock
-    // drives them (at cores=1 this is exactly the original schedule).
-    if (c != 0)
-        return;
-
-    if (config_.promotionInterval && retired >= nextPromotion_) {
-        nextPromotion_ += config_.promotionInterval;
-        for (const auto &event : os_->runPromotionPass(asid_, 2))
-            applyPromotion(event);
-    }
-
-    if (config_.splinterInterval && retired >= nextSplinter_) {
-        nextSplinter_ += config_.splinterInterval;
-        const auto supers = os_->superpageVas(asid_);
-        if (!supers.empty()) {
-            const Addr va =
-                supers[eventRng_.nextBounded(supers.size())];
-            if (auto event = os_->splinter(asid_, va))
-                applySplinter(*event);
-        }
-    }
-}
-
-std::uint64_t
-SimEngine::step(CoreId c, std::uint64_t room)
-{
-    CoreComplex &cx = *complexes_[c];
-    MemRef ref = cx.nextRef();
-    // Clamp the gap so we never badly overshoot the budget.
-    if (ref.gap + 1ULL > room)
-        ref.gap = static_cast<std::uint32_t>(room > 0 ? room - 1 : 0);
-    cx.cpu().retireNonMemory(ref.gap);
-    const bool transition = cx.doMemoryAccess(ref, fabric_.get());
-    cx.doInstructionFetches(ref.gap + 1);
-    cx.retiredTotal_ += ref.gap + 1;
-    if (ProbeEngine *probes = cx.probeEngine())
-        probes->tick(ref.gap + 1);
-    osTick(c);
-    if constexpr (check::kAuditCompiledIn) {
-        if (auditor_) {
-            // Fabric state and caches are mutually consistent again
-            // here: audit after every completed transition in
-            // Paranoid mode.
-            if (fabric_ && transition)
-                auditor_->onCoherenceTransition(cx.cpu().cycles());
-            auditor_->onEvent(ref.gap + 1, cx.cpu().cycles());
-        }
-    }
-    return ref.gap + 1;
-}
-
-void
-SimEngine::runLoop(std::uint64_t per_core_budget)
-{
-    std::vector<std::uint64_t> retired(complexes_.size(), 0);
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (CoreId c = 0; c < complexes_.size(); ++c) {
-            if (retired[c] < per_core_budget) {
-                retired[c] += step(c, per_core_budget - retired[c]);
-                progress = true;
-            }
-        }
-    }
-}
-
-void
-SimEngine::resetMeasurement()
-{
-    for (auto &cx : complexes_)
-        cx->resetMeasurement();
-    energy_->reset();
-    if (fabric_)
-        fabric_->resetStats();
-}
-
-RunResult
-SimEngine::run()
-{
-    if (config_.warmupInstructions > 0) {
-        runLoop(config_.warmupInstructions);
-        resetMeasurement();
-    }
-    runLoop(config_.instructions);
-
-    Cycles max_cycles = 0;
-    for (auto &cx : complexes_)
-        max_cycles = std::max(max_cycles, cx->cpu().cycles());
-
-    if constexpr (check::kAuditCompiledIn) {
-        if (auditor_)
-            auditor_->onEndOfRun(max_cycles);
-    }
-
-    // Static energy over the whole run: every core's L1 leakage plus
-    // the outer hierarchy's background power (this is where faster
-    // runtime becomes hierarchy-energy savings).
-    for (auto &cx : complexes_) {
-        energy_->addL1Leakage(config_.l1SizeBytes, max_cycles,
-                              config_.freqGhz);
-        if (cx->l1i())
-            energy_->addL1Leakage(32 * 1024, max_cycles,
-                                  config_.freqGhz);
-    }
-    energy_->addBackground(max_cycles, config_.freqGhz);
-
-    return collectResults(max_cycles);
-}
-
-RunResult
-SimEngine::collectResults(Cycles max_cycles)
-{
-    std::vector<CoreComplex *> cxs;
-    cxs.reserve(complexes_.size());
-    for (auto &cx : complexes_)
-        cxs.push_back(cx.get());
-    return collectRunResults(config_, workload_, cxs, *energy_,
-                             fabric_.get(), *os_, asid_, max_cycles);
-}
-
 RunResult
 collectRunResults(const SystemConfig &config,
                   const WorkloadSpec &workload,
@@ -600,7 +319,9 @@ collectRunResults(const SystemConfig &config,
 bool
 SimEngine::checkDirectoryInvariant() const
 {
-    if (!directory_)
+    auto &engine = const_cast<MultiConfigEngine &>(engine_);
+    ExactDirectory *directory = engine.directory(0);
+    if (!directory)
         return true;
     // One-shot run of the shared directory-consistency audit with a
     // collecting handler (the full bidirectional MOESI cross-check).
@@ -610,11 +331,11 @@ SimEngine::checkDirectoryInvariant() const
         [&found](const check::Violation &) { ++found; });
 
     std::vector<const L1Cache *> l1s;
-    l1s.reserve(complexes_.size());
-    for (const auto &cx : complexes_)
-        l1s.push_back(&const_cast<CoreComplex &>(*cx).l1());
+    l1s.reserve(cores());
+    for (unsigned c = 0; c < cores(); ++c)
+        l1s.push_back(&engine.complex(0, c).l1());
     auditor.registerCheck("directory", [&](check::AuditContext &ctx) {
-        check::auditDirectoryConsistency(*directory_, l1s, ctx);
+        check::auditDirectoryConsistency(*directory, l1s, ctx);
     });
     auditor.runAll(0);
     return found == 0;

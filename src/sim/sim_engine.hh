@@ -1,8 +1,12 @@
 /**
  * @file
- * The unified simulation engine: N CoreComplexes (sim/core_complex.hh)
- * over a shared OS memory manager, a shared LLC and a pluggable
- * coherence fabric (coherence/fabric.hh).
+ * The single-configuration simulator: N CoreComplexes
+ * (sim/core_complex.hh) over a shared OS memory manager, a shared LLC
+ * and a pluggable coherence fabric (coherence/fabric.hh).
+ *
+ * SimEngine is a facade over a one-substrate MultiConfigEngine
+ * (sim/multi_config_engine.hh), the simulator's one run loop: a solo
+ * run and a one-pass sweep execute the same code.
  *
  * cores=1 reproduces the original single-core System bit-for-bit —
  * same construction order, same RNG salts, same per-access sequence —
@@ -15,22 +19,15 @@
 #ifndef SEESAW_SIM_SIM_ENGINE_HH
 #define SEESAW_SIM_SIM_ENGINE_HH
 
-#include <memory>
 #include <vector>
 
-#include "coherence/fabric.hh"
-#include "sim/core_complex.hh"
-
-namespace seesaw::check {
-class InvariantAuditor;
-} // namespace seesaw::check
+#include "sim/multi_config_engine.hh"
 
 namespace seesaw {
 
 /**
  * Register the standard per-layer invariant checks for one simulated
- * system — a whole SimEngine, or a single substrate of a
- * MultiConfigEngine (sim/multi_config_engine.hh), which is why the
+ * system: one substrate of a MultiConfigEngine, which is why the
  * components arrive as explicit parameters rather than an engine.
  * The TLB check audits each complex's *active* hierarchy, so shared
  * multi-config TLB groups are covered per substrate.
@@ -44,8 +41,8 @@ void registerSystemAudits(check::InvariantAuditor &auditor,
 
 /**
  * Aggregate one system's per-core stats into a RunResult — the one
- * sanctioned place for string-keyed stat reads. Shared by SimEngine
- * and MultiConfigEngine (which calls it once per substrate).
+ * sanctioned place for string-keyed stat reads. MultiConfigEngine
+ * calls it once per substrate.
  */
 RunResult collectRunResults(const SystemConfig &config,
                             const WorkloadSpec &workload,
@@ -63,7 +60,6 @@ class SimEngine
 {
   public:
     SimEngine(const SystemConfig &config, const WorkloadSpec &workload);
-    ~SimEngine();
 
     /** Execute the configured per-core instruction budget. */
     RunResult run();
@@ -78,33 +74,30 @@ class SimEngine
 
     /** @name Component access (tests / advanced drivers). */
     /// @{
-    OsMemoryManager &os() { return *os_; }
-    TlbHierarchy &tlb(unsigned core = 0)
-    {
-        return complexes_[core]->tlb();
-    }
-    L1Cache &l1(unsigned core = 0) { return complexes_[core]->l1(); }
+    OsMemoryManager &os() { return engine_.os(); }
+    TlbHierarchy &tlb(unsigned core = 0) { return complex(core).tlb(); }
+    L1Cache &l1(unsigned core = 0) { return complex(core).l1(); }
     /** nullptr unless an SEESAW kind (cached; hot path). */
     SeesawCache *seesawL1(unsigned core = 0)
     {
-        return complexes_[core]->seesawL1();
+        return complex(core).seesawL1();
     }
-    CpuModel &cpu(unsigned core = 0) { return complexes_[core]->cpu(); }
-    EnergyModel &energy() { return *energy_; }
-    const SystemConfig &config() const { return config_; }
-    Asid asid() const { return asid_; }
-    unsigned cores() const
+    CpuModel &cpu(unsigned core = 0) { return complex(core).cpu(); }
+    EnergyModel &energy() { return engine_.energy(0); }
+    const SystemConfig &config() const { return engine_.config(0); }
+    Asid asid() const { return engine_.asid(); }
+    unsigned cores() const { return engine_.cores(); }
+    CoreComplex &complex(unsigned core)
     {
-        return static_cast<unsigned>(complexes_.size());
+        return engine_.complex(0, core);
     }
-    CoreComplex &complex(unsigned core) { return *complexes_[core]; }
 
     /** The coherence fabric (cores>1), or nullptr at cores=1. */
-    CoherenceFabric *fabric() { return fabric_.get(); }
+    CoherenceFabric *fabric() { return engine_.fabric(0); }
 
     /** The exact directory, or nullptr unless a cores>1 directory
      *  fabric is active. */
-    ExactDirectory *directory() { return directory_; }
+    ExactDirectory *directory() { return engine_.directory(0); }
 
     /**
      * One-shot full bidirectional MOESI cross-check of the directory
@@ -115,65 +108,12 @@ class SimEngine
 
     /** The invariant auditor, or nullptr when audits are off or the
      *  audit layer is compiled out. */
-    check::InvariantAuditor *auditor() { return auditor_.get(); }
+    check::InvariantAuditor *auditor() { return engine_.auditor(0); }
     /// @}
 
   private:
-    SystemConfig config_;
-    WorkloadSpec workload_;
-
-    LatencyTable latency_;
-    std::unique_ptr<EnergyModel> energy_;
-    std::unique_ptr<OsMemoryManager> os_;
-    std::unique_ptr<Memhog> memhog_;
-
-    /** Shared LLC behind every core's private L2 (cores>1 only; a
-     *  single-core complex owns a private LLC inside its
-     *  OuterHierarchy, matching the original System). */
-    std::unique_ptr<SetAssocCache> sharedLlc_;
-    std::unique_ptr<CoherenceFabric> fabric_;
-    ExactDirectory *directory_ = nullptr; //!< cached fabric_ downcast
-
-    std::vector<std::unique_ptr<CoreComplex>> complexes_;
-
-    Asid asid_ = 0;
-    Addr heapBase_ = 0;
-    Addr textBase_ = 0;
-
-    /** Advance core @p c by one reference, retiring at most @p room
-     *  instructions. @return instructions retired. */
-    std::uint64_t step(CoreId c, std::uint64_t room);
-
-    /** Execute @p per_core_budget instructions on every core,
-     *  round-robin one reference at a time. */
-    void runLoop(std::uint64_t per_core_budget);
-
-    /** Zero every measured counter (after warmup). */
-    void resetMeasurement();
-
-    /** Aggregate every core's stats into the RunResult (end of run —
-     *  the one place string-keyed stat reads are sanctioned). */
-    RunResult collectResults(Cycles max_cycles);
-
-    /** OS housekeeping hooks (promotion, splinter, context switch). */
-    void osTick(CoreId c);
-
-    void applyPromotion(const PromotionEvent &event);
-    void applySplinter(const SplinterEvent &event);
-
-    bool isSeesawKind() const
-    {
-        return config_.l1Kind == L1Kind::Seesaw ||
-               config_.l1Kind == L1Kind::SeesawWayPredicted;
-    }
-
-    std::uint64_t nextPromotion_ = 0;
-    std::uint64_t nextSplinter_ = 0;
-    Rng eventRng_;
-
-    /** Build the auditor and register the per-layer checks. */
-    void setupAuditor();
-    std::unique_ptr<check::InvariantAuditor> auditor_;
+    /** One substrate, replayed inline on the calling thread. */
+    MultiConfigEngine engine_;
 };
 
 } // namespace seesaw

@@ -1,9 +1,11 @@
 /**
  * @file
  * MultiConfigEngine one-pass tests:
- *  - an N-substrate pass is bit-identical to N serial SimEngine runs
- *    across all six L1 designs, mixed geometries (multiple TLB
- *    groups), the L1I extension and multi-core coherence;
+ *  - an N-substrate pass is bit-identical to N solo runs of the
+ *    test-local reference loop (solo_reference.hh) across all six L1
+ *    designs, mixed geometries (multiple TLB groups), the L1I
+ *    extension and multi-core coherence, and so is the one-substrate
+ *    SimEngine facade;
  *  - OS events (promotion, splinter, unmap) broadcast to every
  *    substrate;
  *  - a desynced substrate trips its own src/check audit context while
@@ -20,6 +22,7 @@
 #include "check/invariant_auditor.hh"
 #include "harness/runner.hh"
 #include "sim/multi_config_engine.hh"
+#include "solo_reference.hh"
 
 namespace seesaw {
 namespace {
@@ -77,8 +80,7 @@ expectOnePassMatchesSerial(const std::vector<SystemConfig> &configs,
     ASSERT_EQ(one_pass.size(), configs.size());
 
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        const RunResult serial =
-            SimEngine(configs[i], workload).run();
+        const RunResult serial = soloReferenceRun(configs[i], workload);
         expectSameResult(one_pass[i], serial,
                          "substrate " + std::to_string(i));
     }
@@ -246,9 +248,50 @@ TEST(MultiConfigEngine, OsEventsBroadcastToEverySubstrate)
     EXPECT_GT(one_pass[0].promotions, 0u);
     EXPECT_GT(one_pass[0].splinters, 0u);
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        const RunResult serial = SimEngine(configs[i], w).run();
+        const RunResult serial = soloReferenceRun(configs[i], w);
         expectSameResult(one_pass[i], serial,
                          "substrate " + std::to_string(i));
+    }
+}
+
+TEST(MultiConfigEngine, SoloFacadeMatchesTheReferenceLoop)
+{
+    // SimEngine runs one substrate through the batched record/replay
+    // loop; the reference re-composes the per-access phases directly.
+    // Cover the OS-event schedule, the L1I, three-core snoopy
+    // coherence and the lockstep path of Paranoid audits.
+    WorkloadSpec w = testWorkload();
+    w.codeFootprintBytes = 8ULL << 20;
+    std::vector<SystemConfig> configs;
+
+    SystemConfig events = baseConfig(L1Kind::Seesaw);
+    events.promotionInterval = 5'000;
+    events.splinterInterval = 15'000;
+    events.contextSwitchInterval = 7'000;
+    configs.push_back(events);
+
+    SystemConfig icache = baseConfig(L1Kind::SeesawWayPredicted);
+    icache.modelInstructionCache = true;
+    configs.push_back(icache);
+
+    SystemConfig snoopy = baseConfig(L1Kind::ViptBaseline);
+    snoopy.cores = 3;
+    snoopy.fabric = CoherenceKind::Snoopy;
+    snoopy.promotionInterval = 10'000;
+    configs.push_back(snoopy);
+
+    SystemConfig paranoid = baseConfig(L1Kind::Seesaw);
+    paranoid.instructions = 4'000;
+    paranoid.warmupInstructions = 1'000;
+    paranoid.promotionInterval = 1'000;
+    paranoid.splinterInterval = 500;
+    paranoid.audit.mode = check::AuditMode::Paranoid;
+    configs.push_back(paranoid);
+
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        expectSameResult(SimEngine(configs[i], w).run(),
+                         soloReferenceRun(configs[i], w),
+                         "config " + std::to_string(i));
     }
 }
 
@@ -325,7 +368,7 @@ TEST(MultiConfigEngine, DesyncedSubstrateTripsItsOwnAudits)
 
 /**
  * Run @p configs as one pass at 1, 2, 3 and 8 replay threads. Every
- * run must equal each config's solo SimEngine run, and so every other
+ * run must equal each config's reference solo run, and so every other
  * thread count, and no audit may fire. @p lockstep: the group audits
  * Periodic/Paranoid and must replay on the calling thread alone.
  */
@@ -336,7 +379,7 @@ expectSameAtEveryThreadCount(const std::vector<SystemConfig> &configs,
 {
     std::vector<RunResult> solo;
     for (const SystemConfig &cfg : configs)
-        solo.push_back(SimEngine(cfg, workload).run());
+        solo.push_back(soloReferenceRun(cfg, workload));
 
     for (const unsigned threads : {1u, 2u, 3u, 8u}) {
         MultiConfigEngine engine(configs, workload, threads);

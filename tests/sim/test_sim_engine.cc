@@ -6,14 +6,23 @@
  *  - per-core seeds are decorrelated (SplitMix64 regression for the
  *    old `seed ^ (salt + core)` scheme);
  *  - multi-core runs honor tftAssoc, warmupInstructions and coreKind,
- *    which the old MultiCoreSystem silently ignored.
+ *    which the old MultiCoreSystem silently ignored;
+ *  - a feature matrix the 6-cell golden misses (multi-core fabrics,
+ *    the L1I, trace replay with demand faults, the 1GB heap, a dense
+ *    OS-event schedule, Paranoid audits) keeps its RunResult
+ *    fingerprints exactly.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cinttypes>
+#include <cstdio>
 
+#include "check/invariant_auditor.hh"
+#include "harness/sinks.hh"
 #include "sim/sim_engine.hh"
+#include "workload/trace.hh"
 
 namespace seesaw {
 namespace {
@@ -226,6 +235,179 @@ TEST(SimEngineConfig, MultiCoreHonorsCoreKind)
     // expose latencies the OoO window hides.
     EXPECT_EQ(inorder.squashes, 0u);
     EXPECT_GT(inorder.cycles, ooo.cycles);
+}
+
+
+// --- Feature-matrix golden --------------------------------------------
+
+/** 64-bit FNV-1a over every RunResult field (harness::resultFields,
+ *  then each core's perCoreFields), doubles in hex-float form: the
+ *  canonical form perfbench/workloads.cc fingerprints. */
+std::string
+fingerprint(const RunResult &r)
+{
+    std::string text =
+        "workload=" + r.workload + " cores=" + std::to_string(r.cores);
+    char buf[64];
+    const auto append = [&](const char *name, bool integral,
+                            std::uint64_t u, double d) {
+        if (integral)
+            std::snprintf(buf, sizeof(buf), " %s=%" PRIu64, name, u);
+        else
+            std::snprintf(buf, sizeof(buf), " %s=%a", name, d);
+        text += buf;
+    };
+    for (const auto &f : harness::resultFields(r))
+        append(f.name, f.integral, f.u, f.d);
+    for (PerCoreResult pc : r.perCore) {
+        text += " |";
+        for (const auto &f : harness::perCoreFields(pc))
+            append(f.name, f.integral, f.integral ? *f.u : 0,
+                   f.integral ? 0.0 : *f.d);
+    }
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
+    return buf;
+}
+
+/** A four-core group on @p fabric. */
+SystemConfig
+fourCoreConfig(CoherenceKind fabric)
+{
+    SystemConfig cfg = goldenConfig(L1Kind::Seesaw, 1);
+    cfg.cores = 4;
+    cfg.fabric = fabric;
+    cfg.l1SizeBytes = 64 * 1024;
+    cfg.l1Assoc = 16;
+    cfg.instructions = 20'000;
+    cfg.warmupInstructions = 10'000;
+    return cfg;
+}
+
+/** A trace of heap references with an unmapped region every eighth
+ *  record, so the replay demand-faults throughout the run. */
+std::string
+writeFaultingTrace()
+{
+    const std::string path =
+        std::string(::testing::TempDir()) + "/feature_matrix.trace";
+    ReferenceStream stream(goldenWorkload(), Addr{1} << 40, 0x7ace);
+    TraceWriter writer(path);
+    for (unsigned i = 0; i < 6'000; ++i) {
+        MemRef ref = stream.next();
+        if (i % 8 == 7)
+            ref.va = (Addr{3} << 40) + (i / 8) * 0x3000ULL;
+        writer.append(ref);
+    }
+    return path;
+}
+
+/** One solo run and its fingerprint, recorded from the two-engine
+ *  build (commit 42824d8) before SimEngine became the one-substrate
+ *  case of MultiConfigEngine. */
+struct FeatureCell
+{
+    const char *name;
+    SystemConfig config;
+    WorkloadSpec workload;
+    const char *fingerprint;
+};
+
+std::vector<FeatureCell>
+featureMatrix(const std::string &trace_path)
+{
+    std::vector<FeatureCell> cells;
+    cells.push_back({"directory-4c",
+                     fourCoreConfig(CoherenceKind::Directory),
+                     goldenWorkload(), "adf5d595959e4bbf"});
+    cells.push_back({"snoopy-4c", fourCoreConfig(CoherenceKind::Snoopy),
+                     goldenWorkload(), "5438ad47ad20598a"});
+    cells.push_back({"no-fabric-4c", fourCoreConfig(CoherenceKind::None),
+                     goldenWorkload(), "0ac300cdd6612487"});
+
+    SystemConfig icache = goldenConfig(L1Kind::Seesaw, 2);
+    icache.modelInstructionCache = true;
+    icache.icacheKind = SystemConfig::ICacheKind::Seesaw;
+    WorkloadSpec code_heavy = goldenWorkload();
+    code_heavy.codeFootprintBytes = 8ULL << 20;
+    cells.push_back(
+        {"seesaw-l1i", icache, code_heavy, "c2b524dad4795c21"});
+
+    SystemConfig trace = goldenConfig(L1Kind::Seesaw, 3);
+    trace.tracePath = trace_path;
+    trace.instructions = 40'000;
+    trace.warmupInstructions = 10'000;
+    cells.push_back({"trace-demand-faults", trace, goldenWorkload(),
+                     "9af24a554006e2f1"});
+
+    SystemConfig gig = goldenConfig(L1Kind::Seesaw, 1);
+    gig.useOneGbHeap = true;
+    gig.os.memBytes = 4ULL << 30;
+    cells.push_back(
+        {"one-gb-heap", gig, goldenWorkload(), "0362edf404923d96"});
+
+    SystemConfig events = goldenConfig(L1Kind::SeesawWayPredicted, 2);
+    events.promotionInterval = 5'000;
+    events.splinterInterval = 7'000;
+    events.contextSwitchInterval = 3'000;
+    cells.push_back({"dense-os-events", events, goldenWorkload(),
+                     "4f7bebc69d0fd098"});
+
+    SystemConfig paranoid = goldenConfig(L1Kind::Seesaw, 3);
+    paranoid.instructions = 6'000;
+    paranoid.warmupInstructions = 2'000;
+    paranoid.promotionInterval = 1'000;
+    paranoid.splinterInterval = 1'500;
+    paranoid.contextSwitchInterval = 2'000;
+    paranoid.audit.mode = check::AuditMode::Paranoid;
+    cells.push_back({"paranoid-audit", paranoid, goldenWorkload(),
+                     "4691e0c8f8d3ae22"});
+    return cells;
+}
+
+TEST(SimEngineGolden, FeatureMatrixFingerprintsHold)
+{
+    const std::string trace_path = writeFaultingTrace();
+    for (const FeatureCell &cell : featureMatrix(trace_path)) {
+        SimEngine engine(cell.config, cell.workload);
+        std::uint64_t violations = 0;
+        if (check::InvariantAuditor *auditor = engine.auditor()) {
+            auditor->setViolationHandler(
+                [&violations](const check::Violation &) {
+                    ++violations;
+                });
+        }
+        const RunResult r = engine.run();
+        EXPECT_EQ(fingerprint(r), cell.fingerprint) << cell.name;
+        EXPECT_EQ(violations, 0u) << cell.name;
+
+        // Each cell exercises the feature it is named for.
+        const SystemConfig &cfg = cell.config;
+        if (cfg.cores > 1) {
+            EXPECT_EQ(r.probes == 0, cfg.fabric == CoherenceKind::None)
+                << cell.name;
+        }
+        if (cfg.modelInstructionCache) {
+            EXPECT_GT(r.l1iAccesses, 0u) << cell.name;
+        }
+        if (!cfg.tracePath.empty()) {
+            EXPECT_GT(r.pageFaults, 0u) << cell.name;
+        }
+        if (cfg.useOneGbHeap) {
+            EXPECT_GT(r.superpageRefs, 0u) << cell.name;
+        }
+        if (cfg.promotionInterval < 10'000) {
+            EXPECT_GT(r.promotions, 0u) << cell.name;
+        }
+        if (cfg.splinterInterval < 10'000) {
+            EXPECT_GT(r.splinters, 0u) << cell.name;
+        }
+    }
+    std::remove(trace_path.c_str());
 }
 
 } // namespace

@@ -18,8 +18,9 @@ LockInHotPathCheck::LockInHotPathCheck(StringRef name,
     : ClangTidyCheck(name, context),
       hotPathRootPattern_(Options.get(
           "HotPathRootPattern",
-          "^seesaw::(SimEngine::(run|step|runLoop)|"
-          "CoreComplex::(doMemoryAccess|doInstructionFetches)|"
+          "^seesaw::(MultiConfigEngine::(recordStep|replay|replayEvent)|"
+          "CoreComplex::(finishMemoryAccess|finishFetch|"
+          "doInstructionFetches)|"
           "L1Cache::access|Tlb::lookup|TlbHierarchy::lookup|"
           "TranslationCache::lookup)"))
 {

@@ -1,8 +1,11 @@
 /**
  * @file
  * seesaw-lock-in-hot-path: flags mutex acquisition reachable from the
- * simulator's per-access methods (SimEngine step/run, cache access,
- * TLB lookup, translation-cache lookup, core-complex memory access).
+ * simulator's per-access methods (the engine's step recording and
+ * substrate replay, cache access, TLB lookup, translation-cache
+ * lookup, core-complex memory access and fetch). The engine's run
+ * loop and batch dispatch are not roots: a crewed pass takes the crew
+ * mutex once per batch by design.
  *
  * Rule (DESIGN.md "Concurrency rules", guarding PR 3's throughput
  * work): the per-access hot path runs millions of times per simulated
