@@ -8,35 +8,50 @@
 
 namespace seesaw {
 
+CoreFrontEnd::CoreFrontEnd(const SystemConfig &config,
+                           const WorkloadSpec &workload, Addr heap_base,
+                           Addr text_base, CoreId core,
+                           std::uint64_t core_seed)
+    : nextContextSwitch(config.contextSwitchInterval),
+      tracePath_(config.tracePath)
+{
+    stream_ = std::make_unique<ReferenceStream>(
+        workload, heap_base, core_seed ^ 0x57ea0ULL, core);
+    if (!tracePath_.empty())
+        trace_ = std::make_unique<TraceReader>(tracePath_);
+    if (config.modelInstructionCache) {
+        CodeStreamParams code_params;
+        code_params.codeBytes = workload.codeFootprintBytes;
+        code_ = std::make_unique<CodeStream>(code_params, text_base,
+                                             core_seed ^ 0xc0deULL);
+    }
+}
+
+MemRef
+CoreFrontEnd::nextTraceRef()
+{
+    if (auto ref = trace_->next())
+        return *ref;
+    // Loop the trace when it is shorter than the budget.
+    trace_ = std::make_unique<TraceReader>(tracePath_);
+    auto ref = trace_->next();
+    SEESAW_ASSERT(ref, "empty trace file: ", tracePath_);
+    return *ref;
+}
+
 CoreComplex::CoreComplex(const SystemConfig &config,
                          const WorkloadSpec &workload,
                          const LatencyTable &latency,
                          OsMemoryManager &os, EnergyModel &energy,
-                         Asid asid, Addr heap_base, Addr text_base,
-                         CoreId core, std::uint64_t core_seed,
+                         Asid asid, CoreFrontEnd &front_end,
+                         TlbHierarchy &tlb, Addr text_base, CoreId core,
+                         std::uint64_t core_seed,
                          SetAssocCache *shared_llc)
-    : config_(config), workload_(workload), os_(os), energy_(energy),
-      asid_(asid), core_(core)
+    : retiredTotal_(front_end.retiredTotal),
+      nextContextSwitch_(front_end.nextContextSwitch), config_(config),
+      energy_(energy), frontEnd_(front_end), tlb_(tlb), asid_(asid),
+      core_(core)
 {
-    // --- TLBs (preset follows the core model, Table II; optionally a
-    // unified fully-associative L1, which SEESAW supports equally).
-    TlbHierarchyParams tlb_params =
-        config_.coreKind == CoreKind::InOrder
-            ? TlbHierarchyParams::atom()
-            : TlbHierarchyParams::sandybridge();
-    if (config_.unifiedL1Tlb) {
-        tlb_params.unifiedL1 = true;
-        tlb_params.unifiedL1Entries = config_.unifiedL1TlbEntries;
-    }
-    // Replacement seeds decorrelate per structure AND per core: the
-    // hierarchy salts each level on top of this per-core base. A
-    // MultiConfigEngine TLB group borrows its exemplar complex's
-    // hierarchy, so every member sees these seeds.
-    tlb_params.replacement =
-        withSeedSalt(config_.replacement, core_seed ^ 0x71bULL);
-    tlb_ = std::make_unique<TlbHierarchy>(tlb_params, os_.pageTable());
-    activeTlb_ = tlb_.get();
-
     // --- L1 cache. All designs share the D-side replacement seed
     // derivation (SeesawCache further salts its TFT internally).
     const ReplacementParams l1d_replacement =
@@ -117,36 +132,26 @@ CoreComplex::CoreComplex(const SystemConfig &config,
     if (config_.cores == 1 && config_.fabric != CoherenceKind::None) {
         ProbeEngineParams pe;
         pe.systemProbesPerKiloInstr =
-            workload_.systemProbesPerKiloInstr;
+            workload.systemProbesPerKiloInstr;
         pe.remoteThreads =
-            workload_.threads > 0 ? workload_.threads - 1 : 0;
-        pe.sharedFraction = workload_.sharedFraction;
+            workload.threads > 0 ? workload.threads - 1 : 0;
+        pe.sharedFraction = workload.sharedFraction;
         pe.fabric = config_.fabric;
         pe.seed = core_seed ^ 0x9097eULL;
         probes_ = std::make_unique<ProbeEngine>(pe, *l1_, energy_);
     }
 
-    stream_ = std::make_unique<ReferenceStream>(
-        workload_, heap_base, core_seed ^ 0x57ea0ULL, core_);
-    if (!config_.tracePath.empty())
-        trace_ = std::make_unique<TraceReader>(config_.tracePath);
-
     // --- Optional L1 instruction cache (§V). The engine maps the
     // text segment (shared by all cores) before building complexes.
     if (config_.modelInstructionCache) {
         textBase_ = text_base;
-        CodeStreamParams code_params;
-        code_params.codeBytes = workload_.codeFootprintBytes;
-        code_ = std::make_unique<CodeStream>(
-            code_params, textBase_, core_seed ^ 0xc0deULL);
-
         // Prefill the LLC with the hot-text prefix (hot/cold-split
         // layout puts the hot functions at the front).
         const Addr hot_text_end =
             textBase_ + std::min<std::uint64_t>(
-                            workload_.codeFootprintBytes, 4ULL << 20);
+                            workload.codeFootprintBytes, 4ULL << 20);
         for (Addr va = textBase_; va < hot_text_end; va += 64) {
-            if (auto t = os_.translate(asid_, va))
+            if (auto t = os.translate(asid_, va))
                 outer_->prefill(t->translate(va));
         }
 
@@ -180,45 +185,18 @@ CoreComplex::CoreComplex(const SystemConfig &config,
         }
     }
 
-    // Wire the superpage hook into the TLB hierarchy: every 2MB L1 TLB
-    // fill marks the region in the owning side's TFT (Fig 5;
-    // markTftRegion routes I- vs D-side). A MultiConfigEngine
-    // re-points the hook of a TLB it shares across a group so it
-    // reaches every member complex.
-    if (seesawD_ || seesawI_) {
-        tlb_->setOn2MBFill(
-            [this](Asid, Addr va_base) { markTftRegion(va_base); });
-    }
-
     // Steady-state warmup: prefill the LLC with the stream's hot
     // ranges so measurement does not start from an unrealistically
     // cold outer hierarchy (the paper's traces span 10B instructions).
-    for (const auto &[begin, end] : stream_->hotRanges()) {
+    for (const auto &[begin, end] : frontEnd_.stream().hotRanges()) {
         for (Addr va = begin; va < end; va += 64) {
-            if (auto t = os_.translate(asid_, va))
+            if (auto t = os.translate(asid_, va))
                 outer_->prefill(t->translate(va));
         }
     }
-
-    nextContextSwitch_ = config_.contextSwitchInterval;
 }
 
 CoreComplex::~CoreComplex() = default;
-
-MemRef
-CoreComplex::nextRef()
-{
-    if (!trace_) {
-        return stream_->next();
-    }
-    if (auto ref = trace_->next())
-        return *ref;
-    // Loop the trace when it is shorter than the budget.
-    trace_ = std::make_unique<TraceReader>(config_.tracePath);
-    auto ref = trace_->next();
-    SEESAW_ASSERT(ref, "empty trace file: ", config_.tracePath);
-    return *ref;
-}
 
 int
 CoreComplex::probeDataTft(Addr va)
@@ -270,18 +248,6 @@ CoreComplex::markTftRegion(Addr va_base)
         seesawD_->tft().markRegion(va_base);
 }
 
-std::uint64_t
-CoreComplex::takeFetchLines(std::uint64_t instructions)
-{
-    if (!l1i_)
-        return 0;
-    // 16-byte fetch groups: one 64B line fetch per ~4 instructions.
-    fetchCarry_ += static_cast<double>(instructions) / 4.0;
-    auto fetches = static_cast<std::uint64_t>(fetchCarry_);
-    fetchCarry_ -= static_cast<double>(fetches);
-    return fetches;
-}
-
 void
 CoreComplex::finishFetch(Addr va, const TlbLookupResult &tr,
                          int tft_probe)
@@ -314,11 +280,11 @@ CoreComplex::finishFetch(Addr va, const TlbLookupResult &tr,
 void
 CoreComplex::doInstructionFetches(std::uint64_t instructions)
 {
-    std::uint64_t fetches = takeFetchLines(instructions);
+    std::uint64_t fetches = frontEnd_.takeFetchLines(instructions);
     while (fetches-- > 0) {
-        const Addr va = code_->nextFetchLine();
+        const Addr va = frontEnd_.nextFetchLine();
         const int tft_probe = probeCodeTft(va);
-        const TlbLookupResult tr = activeTlb_->lookup(asid_, va);
+        const TlbLookupResult tr = tlb_.lookup(asid_, va);
         chargeTranslation(tr);
         SEESAW_ASSERT(!tr.fault, "text segment must be premapped");
         finishFetch(va, tr, tft_probe);

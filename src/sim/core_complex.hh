@@ -1,12 +1,14 @@
 /**
  * @file
- * One core's private slice of the simulated system: the core timing
- * model, its TLB hierarchy and TFT, an L1D of the configured design,
- * the optional L1I, the private L2 (plus an LLC reference — its own at
- * cores=1, the engine's shared one otherwise) and the per-core
- * reference/fetch streams. The engine (sim/multi_config_engine.hh)
- * drives N of these per substrate over a coherence fabric, composing
- * the per-access phases declared here, so cores=1 executes exactly the
+ * One core of the simulated system. CoreFrontEnd is its
+ * config-invariant half: the reference/fetch streams and retirement
+ * clock. CoreComplex is one configuration's half: the core timing
+ * model, TFT, an L1D of the configured design, the optional L1I and
+ * the private L2 (plus an LLC reference — its own at cores=1, the
+ * engine's shared one otherwise). The engine
+ * (sim/multi_config_engine.hh) owns the front ends and TLBs, drives N
+ * complexes per substrate over a coherence fabric and composes the
+ * per-access phases declared here, so cores=1 executes exactly the
  * classic single-core system.
  */
 
@@ -14,6 +16,7 @@
 #define SEESAW_SIM_CORE_COMPLEX_HH
 
 #include <memory>
+#include <string>
 
 #include "cache/baseline_caches.hh"
 #include "cache/prefetch/prefetch.hh"
@@ -30,15 +33,78 @@
 namespace seesaw {
 
 /**
- * Per-core unit of the engine. Construction mirrors the original
- * single-core System exactly (same component order, same RNG salts on
- * the per-core seed) so that core 0 of a cores=1 engine is
+ * One core's config-invariant front end. Only the engine's recording
+ * half (or a solo driver composing the phases itself) advances it;
+ * every substrate's complex on this core reads the same one.
+ */
+class CoreFrontEnd
+{
+  public:
+    /**
+     * @param core_seed This core's decorrelated seed
+     *        (SimEngine::coreSeed); equals config.seed for core 0.
+     */
+    CoreFrontEnd(const SystemConfig &config, const WorkloadSpec &workload,
+                 Addr heap_base, Addr text_base, CoreId core,
+                 std::uint64_t core_seed);
+
+    /** Next reference from the trace (re-opened when it runs out) or
+     *  the synthetic stream. Inline, like takeFetchLines: every step
+     *  calls both. */
+    MemRef nextRef() { return trace_ ? nextTraceRef() : stream_->next(); }
+
+    /** Accrue @p instructions against the 4-instructions-per-line
+     *  fetch carry. @return whole fetch lines to perform now (none
+     *  without an instruction cache). */
+    std::uint64_t
+    takeFetchLines(std::uint64_t instructions)
+    {
+        if (!code_)
+            return 0;
+        // 16-byte fetch groups: one 64B line fetch per ~4 instructions.
+        fetchCarry_ += static_cast<double>(instructions) / 4.0;
+        auto fetches = static_cast<std::uint64_t>(fetchCarry_);
+        fetchCarry_ -= static_cast<double>(fetches);
+        return fetches;
+    }
+
+    /** The next instruction-fetch line (modelInstructionCache). */
+    Addr nextFetchLine() { return code_->nextFetchLine(); }
+
+    /** The synthetic stream, built in trace runs too: complexes
+     *  prefill from its hot ranges before the first draw. */
+    const ReferenceStream &stream() const { return *stream_; }
+
+    /** Instructions retired by this core, including warmup (drives the
+     *  per-core OS-event schedule). */
+    std::uint64_t retiredTotal = 0;
+
+    /** Next context-switch point in retiredTotal terms. */
+    std::uint64_t nextContextSwitch = 0;
+
+  private:
+    MemRef nextTraceRef();
+
+    std::string tracePath_;
+    std::unique_ptr<ReferenceStream> stream_;
+    std::unique_ptr<TraceReader> trace_; //!< replaces stream_ if set
+    std::unique_ptr<CodeStream> code_;   //!< modelInstructionCache
+    double fetchCarry_ = 0.0;
+};
+
+/**
+ * One core's per-configuration substrate. Construction mirrors the
+ * original single-core System exactly (same component order, same RNG
+ * salts on the per-core seed) so that core 0 of a cores=1 engine is
  * bit-identical to the pre-refactor System.
  */
 class CoreComplex
 {
   public:
     /**
+     * @param front_end This core's front end; its stream must not have
+     *        been drawn from yet (the LLC prefill reads its hot ranges).
+     * @param tlb The TLB hierarchy of this core's TLB group.
      * @param core_seed This core's decorrelated seed
      *        (SimEngine::coreSeed); equals config.seed for core 0.
      * @param shared_llc Non-null at cores>1: the engine-owned LLC all
@@ -46,16 +112,17 @@ class CoreComplex
      */
     CoreComplex(const SystemConfig &config, const WorkloadSpec &workload,
                 const LatencyTable &latency, OsMemoryManager &os,
-                EnergyModel &energy, Asid asid, Addr heap_base,
-                Addr text_base, CoreId core, std::uint64_t core_seed,
-                SetAssocCache *shared_llc);
+                EnergyModel &energy, Asid asid, CoreFrontEnd &front_end,
+                TlbHierarchy &tlb, Addr text_base, CoreId core,
+                std::uint64_t core_seed, SetAssocCache *shared_llc);
     ~CoreComplex();
 
-    /** Next reference from the trace or the synthetic stream. */
-    MemRef nextRef();
+    /** The front end's next reference. For solo drivers only, like
+     *  doInstructionFetches: replay must not advance shared state. */
+    MemRef nextRef() { return frontEnd_.nextRef(); }
 
     /** Account instruction fetches for @p instructions committed: for
-     *  each line, probeCodeTft, a lookup in the active TLB,
+     *  each front-end fetch line, probeCodeTft, a TLB lookup,
      *  chargeTranslation and finishFetch. */
     void doInstructionFetches(std::uint64_t instructions);
 
@@ -98,18 +165,14 @@ class CoreComplex
                             int tft_probe, CoherenceFabric *fabric,
                             bool superpages_ample);
 
-    /** finishMemoryAccess reading the counter from the active TLB. */
+    /** finishMemoryAccess reading the counter from tlb() (perfbench). */
     bool
     finishMemoryAccess(const MemRef &ref, const TlbLookupResult &tr,
                        int tft_probe, CoherenceFabric *fabric)
     {
         return finishMemoryAccess(ref, tr, tft_probe, fabric,
-                                  activeTlb_->superpagesAmple());
+                                  tlb_.superpagesAmple());
     }
-
-    /** Accrue @p instructions against the 4-instructions-per-line
-     *  fetch carry. @return whole fetch lines to perform now. */
-    std::uint64_t takeFetchLines(std::uint64_t instructions);
 
     /** One fetched line's L1I access + miss handling + TLB penalty. */
     void finishFetch(Addr va, const TlbLookupResult &tr, int tft_probe);
@@ -122,11 +185,6 @@ class CoreComplex
      */
     void markTftRegion(Addr va_base);
 
-    /** Point the per-access paths at a TLB hierarchy owned elsewhere
-     *  (a multi-config TLB group). Defaults to this complex's own. */
-    void setActiveTlb(TlbHierarchy *tlb) { activeTlb_ = tlb; }
-    TlbHierarchy &activeTlb() { return *activeTlb_; }
-
     /// @}
 
     /** Zero every measured per-core counter (after warmup). */
@@ -134,7 +192,10 @@ class CoreComplex
 
     /** @name Component access. */
     /// @{
-    TlbHierarchy &tlb() { return *tlb_; }
+    /** This core's TLB group's hierarchy (engine-owned); activeTlb()
+     *  is perfbench's name for it. */
+    TlbHierarchy &tlb() { return tlb_; }
+    TlbHierarchy &activeTlb() { return tlb_; }
     L1Cache &l1() { return *l1_; }
     L1Cache *l1i() { return l1i_.get(); }
     /** nullptr unless an SEESAW kind (cached; hot path). */
@@ -159,31 +220,24 @@ class CoreComplex
     }
     /// @}
 
-    /** Instructions retired by this core, including warmup (drives the
-     *  per-core OS-event schedule). */
-    std::uint64_t retiredTotal_ = 0;
-
-    /** Next context-switch point in retiredTotal_ terms. */
-    std::uint64_t nextContextSwitch_ = 0;
+    /** The front end's retirement clock and context-switch point, as
+     *  perfbench's traced run drives them. */
+    std::uint64_t &retiredTotal_;
+    std::uint64_t &nextContextSwitch_;
 
   private:
     const SystemConfig &config_;
-    const WorkloadSpec &workload_;
-    OsMemoryManager &os_;
     EnergyModel &energy_;
+    CoreFrontEnd &frontEnd_;
+    TlbHierarchy &tlb_;
 
-    std::unique_ptr<TlbHierarchy> tlb_;
-    TlbHierarchy *activeTlb_ = nullptr; //!< tlb_ unless re-pointed
     std::unique_ptr<L1Cache> l1_;
     std::unique_ptr<OuterHierarchy> outer_;
     std::unique_ptr<CpuModel> cpu_;
     std::unique_ptr<ProbeEngine> probes_;
-    std::unique_ptr<ReferenceStream> stream_;
-    std::unique_ptr<TraceReader> trace_; //!< replaces stream_ if set
 
     // Optional L1I application (§V).
     std::unique_ptr<L1Cache> l1i_;
-    std::unique_ptr<CodeStream> code_;
 
     /** Cached downcasts of l1_/l1i_ when they are SEESAW caches, so
      *  the per-access and per-fetch paths never pay a dynamic_cast. */
@@ -196,7 +250,6 @@ class CoreComplex
     unsigned l1Assoc_ = 0;
     unsigned l1LineBytes_ = 64;
     Addr textBase_ = 0;
-    double fetchCarry_ = 0.0;
 
     Asid asid_ = 0;
     CoreId core_ = 0;

@@ -32,10 +32,10 @@ constexpr std::size_t kBatchSteps = 8192;
  *  a solo run. */
 constexpr std::size_t kSoloBatchSteps = 1024;
 
-/** The TLB geometry a config implies (sim/core_complex.cc order):
- *  substrates matching on this share one hierarchy per core. The
- *  replacement policy is part of the key — TLBs own policy side-state,
- *  so substrates differing in victim selection walk different fill
+/** The TLB geometry a config implies (tlbParams below): substrates
+ *  matching on this share one hierarchy per core. The replacement
+ *  policy is part of the key — TLBs own policy side-state, so
+ *  substrates differing in victim selection walk different fill
  *  sequences and must fork into separate groups. */
 std::string
 tlbGeometryKey(const SystemConfig &config)
@@ -47,6 +47,26 @@ tlbGeometryKey(const SystemConfig &config)
        << config.replacement.rripBits << '|'
        << config.replacement.seed;
     return os.str();
+}
+
+/** One core's TLB hierarchy for @p config: the preset follows the core
+ *  model (Table II), optionally with a unified fully-associative L1,
+ *  which SEESAW supports equally. Replacement seeds decorrelate per
+ *  structure and per core: the hierarchy salts each level on top of
+ *  this per-core base. */
+TlbHierarchyParams
+tlbParams(const SystemConfig &config, std::uint64_t core_seed)
+{
+    TlbHierarchyParams params = config.coreKind == CoreKind::InOrder
+                                    ? TlbHierarchyParams::atom()
+                                    : TlbHierarchyParams::sandybridge();
+    if (config.unifiedL1Tlb) {
+        params.unifiedL1 = true;
+        params.unifiedL1Entries = config.unifiedL1TlbEntries;
+    }
+    params.replacement =
+        withSeedSalt(config.replacement, core_seed ^ 0x71bULL);
+    return params;
 }
 
 } // namespace
@@ -130,7 +150,7 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
                           workload_.thpEligibleFraction);
     }
     // The text segment is shared by all cores; map it once before the
-    // complexes build their fetch streams.
+    // front ends build their fetch streams.
     if (front.modelInstructionCache) {
         textBase_ = Addr{2} << 40;
         os_->mapAnonymous(asid_, textBase_,
@@ -138,19 +158,41 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
                           front.codeThpEligibleFraction);
     }
 
+    // --- Per-core front ends, built before any complex reads their
+    // streams' hot ranges.
+    cores_.reserve(front.cores);
+    for (unsigned c = 0; c < front.cores; ++c) {
+        cores_.emplace_back(front, workload_, heapBase_, textBase_,
+                            static_cast<CoreId>(c),
+                            SimEngine::coreSeed(front.seed, c));
+    }
+
     // --- TLB groups: substrates implying one TLB geometry share one
-    // hierarchy per core. The group's first member (its exemplar)
-    // lends its own; each complex salts its TLB's replacement seed
-    // per core exactly as a solo run does.
+    // hierarchy per core, built from the group's first config. A 2MB
+    // fill marks the TFT of *every* member substrate, each routing I-
+    // vs D-side by its own shape (bit-identical to each member's solo
+    // hook). During run() the mark is recorded into the step and
+    // applied by each member's replay.
     std::vector<std::size_t> group_of(configs_.size());
     std::vector<std::string> keys;
     for (std::size_t i = 0; i < configs_.size(); ++i) {
-        const std::string key = tlbGeometryKey(configs_[i]);
+        const SystemConfig &config = configs_[i];
+        const std::string key = tlbGeometryKey(config);
         auto it = std::find(keys.begin(), keys.end(), key);
         group_of[i] = static_cast<std::size_t>(it - keys.begin());
-        if (it == keys.end()) {
-            keys.push_back(key);
-            groups_.push_back({i, {}});
+        if (it != keys.end())
+            continue;
+        keys.push_back(key);
+        const std::size_t g = groups_.size();
+        TlbGroup &group = groups_.emplace_back();
+        for (unsigned c = 0; c < front.cores; ++c) {
+            auto &tlb = group.tlbs.emplace_back(
+                std::make_unique<TlbHierarchy>(
+                    tlbParams(config, SimEngine::coreSeed(front.seed, c)),
+                    os_->pageTable()));
+            tlb->setOn2MBFill([this, g, c](Asid, Addr va_base) {
+                onGroupFill(g, static_cast<CoreId>(c), va_base);
+            });
         }
     }
 
@@ -168,18 +210,12 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
                 sub.config->outer.llcSizeBytes,
                 sub.config->outer.llcAssoc);
         }
-        TlbGroup &group = groups_[sub.tlbGroup];
         for (unsigned c = 0; c < front.cores; ++c) {
-            CoreComplex &cx =
-                *sub.complexes.emplace_back(std::make_unique<CoreComplex>(
-                    *sub.config, workload_, latency_, *os_, *sub.energy,
-                    asid_, heapBase_, textBase_, static_cast<CoreId>(c),
-                    SimEngine::coreSeed(front.seed, c),
-                    sub.sharedLlc.get()));
-            if (group.exemplar == i)
-                group.tlbs.push_back(&cx.tlb());
-            else
-                cx.setActiveTlb(group.tlbs[c]);
+            sub.complexes.push_back(std::make_unique<CoreComplex>(
+                *sub.config, workload_, latency_, *os_, *sub.energy,
+                asid_, cores_[c], *groups_[sub.tlbGroup].tlbs[c],
+                textBase_, static_cast<CoreId>(c),
+                SimEngine::coreSeed(front.seed, c), sub.sharedLlc.get()));
         }
         if (front.cores > 1) {
             // Probe latency models directory/bus indirection plus the
@@ -204,41 +240,6 @@ MultiConfigEngine::MultiConfigEngine(std::vector<SystemConfig> configs,
                 sub.fabric->attachCore(&cx->l1(), &cx->outer().l2());
         }
         setupAuditor(sub);
-    }
-
-    // --- Group superpage hooks: re-point each exemplar TLB's hook so a
-    // 2MB fill marks the TFT of *every* member substrate, each routing
-    // I- vs D-side by its own shape (bit-identical to each member's
-    // solo hook). During run() the mark is recorded into the step and
-    // applied by each member's replay.
-    for (std::size_t g = 0; g < groups_.size(); ++g) {
-        for (unsigned c = 0; c < front.cores; ++c) {
-            groups_[g].tlbs[c]->setOn2MBFill(
-                [this, g, c](Asid, Addr va_base) {
-                    onGroupFill(g, static_cast<CoreId>(c), va_base);
-                });
-        }
-    }
-
-    // --- Front-end streams: same seeds and salts as each complex's
-    // own (which go unused in a one-pass run).
-    for (unsigned c = 0; c < front.cores; ++c) {
-        CoreFrontEnd fe;
-        const std::uint64_t core_seed =
-            SimEngine::coreSeed(front.seed, c);
-        fe.stream = std::make_unique<ReferenceStream>(
-            workload_, heapBase_, core_seed ^ 0x57ea0ULL,
-            static_cast<CoreId>(c));
-        if (!front.tracePath.empty())
-            fe.trace = std::make_unique<TraceReader>(front.tracePath);
-        if (front.modelInstructionCache) {
-            CodeStreamParams code_params;
-            code_params.codeBytes = workload_.codeFootprintBytes;
-            fe.code = std::make_unique<CodeStream>(
-                code_params, textBase_, core_seed ^ 0xc0deULL);
-        }
-        fe.nextContextSwitch = front.contextSwitchInterval;
-        cores_.push_back(std::move(fe));
     }
 
     nextPromotion_ = front.promotionInterval;
@@ -289,21 +290,6 @@ MultiConfigEngine::setupAuditor(Substrate &sub)
     registerSystemAudits(*sub.auditor, *sub.config, std::move(cxs),
                          sub.sharedLlc.get(), sub.directory, *os_,
                          asid_);
-}
-
-MemRef
-MultiConfigEngine::nextRef(CoreFrontEnd &fe)
-{
-    if (!fe.trace)
-        return fe.stream->next();
-    if (auto ref = fe.trace->next())
-        return *ref;
-    fe.trace =
-        std::make_unique<TraceReader>(configs_.front().tracePath);
-    auto ref = fe.trace->next();
-    SEESAW_ASSERT(ref, "empty trace file: ",
-                  configs_.front().tracePath);
-    return *ref;
 }
 
 void
@@ -463,7 +449,7 @@ MultiConfigEngine::applyPromotion(const PromotionEvent &event)
     // Shoot down the 512 stale base-page translations once per shared
     // TLB; every substrate then sweeps and stalls (§IV-C2).
     for (TlbGroup &group : groups_) {
-        for (TlbHierarchy *tlb : group.tlbs) {
+        for (auto &tlb : group.tlbs) {
             for (unsigned i = 0; i < 512; ++i)
                 tlb->invalidatePage(event.asid,
                                     event.vaBase + i * 4096ULL);
@@ -484,7 +470,7 @@ void
 MultiConfigEngine::applySplinter(const SplinterEvent &event)
 {
     for (TlbGroup &group : groups_) {
-        for (TlbHierarchy *tlb : group.tlbs)
+        for (auto &tlb : group.tlbs)
             tlb->invalidatePage(event.asid, event.vaBase);
     }
     EventRecord record;
@@ -499,7 +485,7 @@ MultiConfigEngine::unmapBroadcast(Addr va_base, std::uint64_t bytes)
     os_->unmapRange(asid_, va_base, bytes);
     const Addr end = va_base + alignUp(bytes, 4096);
     for (TlbGroup &group : groups_) {
-        for (TlbHierarchy *tlb : group.tlbs) {
+        for (auto &tlb : group.tlbs) {
             for (Addr va = alignDown(va_base, 4096); va < end;
                  va += 4096)
                 tlb->invalidatePage(asid_, va);
@@ -572,7 +558,7 @@ MultiConfigEngine::recordStep(CoreId c, std::uint64_t room)
     const std::size_t groups = groups_.size();
 
     StepRecord step;
-    step.ref = nextRef(fe);
+    step.ref = fe.nextRef();
     if (step.ref.gap + 1ULL > room)
         step.ref.gap =
             static_cast<std::uint32_t>(room > 0 ? room - 1 : 0);
@@ -612,21 +598,17 @@ MultiConfigEngine::recordStep(CoreId c, std::uint64_t room)
 
     // Instruction fetches: the front end owns the fetch carry and the
     // fetch-line stream; substrates complete each line independently.
-    if (fe.code) {
-        fe.fetchCarry += static_cast<double>(step.ref.gap + 1) / 4.0;
-        auto fetches = static_cast<std::uint64_t>(fe.fetchCarry);
-        fe.fetchCarry -= static_cast<double>(fetches);
-        while (fetches-- > 0) {
-            FetchRecord fetch;
-            fetch.va = fe.code->nextFetchLine();
-            fetch.lookup = recordLookups(c, fetch.va);
-            for (std::size_t g = 0; g < groups; ++g) {
-                SEESAW_ASSERT(!batch.lookups[fetch.lookup + g].tr.fault,
-                              "text segment must be premapped");
-            }
-            fetch.marksEnd = static_cast<std::uint32_t>(batch.marks.size());
-            batch.fetches.push_back(fetch);
+    std::uint64_t fetches = fe.takeFetchLines(step.ref.gap + 1ULL);
+    while (fetches-- > 0) {
+        FetchRecord fetch;
+        fetch.va = fe.nextFetchLine();
+        fetch.lookup = recordLookups(c, fetch.va);
+        for (std::size_t g = 0; g < groups; ++g) {
+            SEESAW_ASSERT(!batch.lookups[fetch.lookup + g].tr.fault,
+                          "text segment must be premapped");
         }
+        fetch.marksEnd = static_cast<std::uint32_t>(batch.marks.size());
+        batch.fetches.push_back(fetch);
     }
     step.fetchesEnd = static_cast<std::uint32_t>(batch.fetches.size());
 
@@ -720,7 +702,6 @@ MultiConfigEngine::replay(Substrate &sub, const StepBatch &batch)
             cx.finishFetch(line.va, tr, code_probe);
         }
 
-        cx.retiredTotal_ += retired;
         if (ProbeEngine *probes = cx.probeEngine())
             probes->tick(retired);
         for (; event < step.eventsEnd; ++event)

@@ -14,13 +14,13 @@
  * What is shared and what forks:
  *  - Shared, exactly once per pass: the OS memory manager (buddy
  *    allocator, page tables, translation cache, khugepaged), memhog
- *    fragmentation, the per-core reference/fetch streams, the OS-event
- *    RNG and schedule (keyed on retired instructions, which every
- *    substrate agrees on by construction), and one TLB hierarchy per
- *    core per *TLB group* — substrates whose configs imply identical
- *    TLB geometry share lookups. A group borrows its first member's
- *    own per-core hierarchies; later members point their per-access
- *    paths at them.
+ *    fragmentation, the per-core front ends (reference/fetch streams,
+ *    retirement clocks), the OS-event RNG and schedule (keyed on
+ *    retired instructions, which every substrate agrees on by
+ *    construction), and one TLB hierarchy per core per *TLB group* —
+ *    substrates whose configs imply identical TLB geometry share
+ *    lookups. The engine owns all of it; each complex holds
+ *    references to its core's front end and its group's hierarchy.
  *  - Forked per substrate: L1D/L1I tag stores and TFTs, way
  *    predictors, private L2s + LLC, the coherence fabric, CPU timing,
  *    the energy model, and the invariant auditor (per-substrate audit
@@ -134,7 +134,7 @@ class MultiConfigEngine
     /** The shared TLB hierarchy serving @p substrate on @p core. */
     TlbHierarchy &tlb(unsigned substrate, unsigned core = 0)
     {
-        return complex(substrate, core).activeTlb();
+        return *groups_[substrates_[substrate].tlbGroup].tlbs[core];
     }
     check::InvariantAuditor *auditor(unsigned substrate)
     {
@@ -160,12 +160,10 @@ class MultiConfigEngine
     class ReplayCrew;
 
     /** Substrates sharing one TLB geometry share one hierarchy per
-     *  core: the exemplar's own, whose superpage hook the engine
-     *  re-points to broadcast to every member. */
+     *  core, whose superpage hook broadcasts to every member. */
     struct TlbGroup
     {
-        std::size_t exemplar = 0; //!< first member; lends its TLBs
-        std::vector<TlbHierarchy *> tlbs; //!< per core, exemplar-owned
+        std::vector<std::unique_ptr<TlbHierarchy>> tlbs; //!< per core
     };
 
     /** Everything that forks per configuration. */
@@ -179,17 +177,6 @@ class MultiConfigEngine
         std::unique_ptr<CoherenceFabric> fabric;
         ExactDirectory *directory = nullptr;
         std::unique_ptr<check::InvariantAuditor> auditor;
-    };
-
-    /** The config-invariant per-core front end. */
-    struct CoreFrontEnd
-    {
-        std::unique_ptr<ReferenceStream> stream;
-        std::unique_ptr<TraceReader> trace; //!< replaces stream if set
-        std::unique_ptr<CodeStream> code;   //!< modelInstructionCache
-        double fetchCarry = 0.0;
-        std::uint64_t retiredTotal = 0;
-        std::uint64_t nextContextSwitch = 0;
     };
 
     /** @name Step records: the front end's output, replayed by every
@@ -263,8 +250,6 @@ class MultiConfigEngine
     };
     /// @}
 
-    MemRef nextRef(CoreFrontEnd &fe);
-
     /** Front-end half of one access on core @p c: draw, translate,
      *  page, tick the OS, and append the step to the filling batch.
      *  @return instructions retired. */
@@ -304,9 +289,9 @@ class MultiConfigEngine
     Addr heapBase_ = 0;
     Addr textBase_ = 0;
 
+    std::vector<CoreFrontEnd> cores_;
     std::vector<TlbGroup> groups_;
     std::vector<Substrate> substrates_;
-    std::vector<CoreFrontEnd> cores_;
 
     std::uint64_t nextPromotion_ = 0;
     std::uint64_t nextSplinter_ = 0;

@@ -93,7 +93,7 @@ registerSystemAudits(check::InvariantAuditor &auditor,
             for (unsigned c = 0; c < n; ++c) {
                 if (multi)
                     ctx.core = static_cast<int>(c);
-                check::auditTlbAgainstPageTable(cxs[c]->activeTlb(),
+                check::auditTlbAgainstPageTable(cxs[c]->tlb(),
                                                 os_p->pageTable(), ctx);
             }
         });

@@ -29,8 +29,8 @@ namespace seesaw {
  * Register the standard per-layer invariant checks for one simulated
  * system: one substrate of a MultiConfigEngine, which is why the
  * components arrive as explicit parameters rather than an engine.
- * The TLB check audits each complex's *active* hierarchy, so shared
- * multi-config TLB groups are covered per substrate.
+ * The TLB check audits each complex's tlb(), its TLB group's
+ * hierarchy, so shared TLB groups are covered per substrate.
  */
 void registerSystemAudits(check::InvariantAuditor &auditor,
                           const SystemConfig &config,

@@ -63,10 +63,11 @@ def m_hash_stale(f):
 
 
 def m_substrate_isolation(f):
-    # Make CoreComplex::doMemoryAccess (which calls the OS mutator
-    # mapAnonymous) reachable from the engine's per-substrate path.
-    f["calls"].append({"caller": "CoreComplex::finishMemoryAccess",
-                       "callee": "CoreComplex::doMemoryAccess"})
+    # The replay half draws from the shared front end through a
+    # complex: CoreComplex::nextRef advances the CoreFrontEnd every
+    # substrate shares.
+    f["calls"].append({"caller": "MultiConfigEngine::replay",
+                       "callee": "CoreComplex::nextRef"})
 
 
 def m_layering(f):
@@ -93,7 +94,7 @@ def m_engine_unknown_base(f):
     # An engine read whose base we cannot classify must be treated as
     # a front-end read (fail closed), tripping key completeness.
     f["config_reads"].append(read(
-        "l1Assoc", "MultiConfigEngine", "MultiConfigEngine::step",
+        "l1Assoc", "MultiConfigEngine", "MultiConfigEngine::recordStep",
         "unknown", "src/sim/multi_config_engine.cc"))
 
 

@@ -1,11 +1,12 @@
 /**
  * @file
  * A test-local solo run loop: one config's whole run composed directly
- * from the public CoreComplex phase API. Each complex steps its own
- * reference stream through its own TLB hierarchy, demand-pages in
- * place, and the OS-event schedule (context switch, promotion,
- * splinter) is applied the moment it fires — no step records, no
- * batches, no replay.
+ * from the public CoreComplex phase API. Each complex draws from its
+ * core's front end (nextRef) and looks up in its TLB group's
+ * hierarchy (tlb()), demand-pages in place, and the OS-event schedule
+ * (context switch, promotion, splinter) runs on the loop's own
+ * retirement clocks and is applied the moment it fires — no step
+ * records, no batches, no replay.
  *
  * This is the composition the engine's record/replay split must
  * reproduce. Keeping it apart from the engine's run loop lets the
@@ -35,7 +36,9 @@ class SoloReference
         : engine_(config, workload), workload_(workload),
           eventRng_(config.seed ^ 0xe7e27ULL),
           nextPromotion_(config.promotionInterval),
-          nextSplinter_(config.splinterInterval)
+          nextSplinter_(config.splinterInterval),
+          retiredTotal_(config.cores, 0),
+          nextContextSwitch_(config.cores, config.contextSwitchInterval)
     {
     }
 
@@ -80,6 +83,10 @@ class SoloReference
     Rng eventRng_;
     std::uint64_t nextPromotion_;
     std::uint64_t nextSplinter_;
+    /** Per core: instructions retired including warmup, and the next
+     *  context-switch point in those terms. */
+    std::vector<std::uint64_t> retiredTotal_;
+    std::vector<std::uint64_t> nextContextSwitch_;
 
     /** Every core round-robin, one reference at a time. */
     void
@@ -125,7 +132,7 @@ class SoloReference
 
         const std::uint64_t retired = ref.gap + 1ULL;
         cx.doInstructionFetches(retired);
-        cx.retiredTotal_ += retired;
+        retiredTotal_[c] += retired;
         if (ProbeEngine *probes = cx.probeEngine())
             probes->tick(retired);
         osTick(c);
@@ -142,11 +149,11 @@ class SoloReference
     {
         const SystemConfig &cfg = engine_.config();
         CoreComplex &cx = engine_.complex(c);
-        const std::uint64_t retired = cx.retiredTotal_;
+        const std::uint64_t retired = retiredTotal_[c];
 
         if (cfg.contextSwitchInterval &&
-            retired >= cx.nextContextSwitch_) {
-            cx.nextContextSwitch_ += cfg.contextSwitchInterval;
+            retired >= nextContextSwitch_[c]) {
+            nextContextSwitch_[c] += cfg.contextSwitchInterval;
             if (SeesawCache *cache = cx.seesawL1())
                 cache->tft().flush();
         }

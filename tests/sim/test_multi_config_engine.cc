@@ -10,19 +10,23 @@
  *    substrate;
  *  - a desynced substrate trips its own src/check audit context while
  *    the healthy substrate stays clean;
- *  - results do not depend on the replay-thread count, and the
- *    campaign runner hands a lone group its whole thread budget.
+ *  - results do not depend on the replay-thread count, trace-driven
+ *    passes included, and the campaign runner hands a lone group its
+ *    whole thread budget.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <set>
 #include <utility>
 
 #include "check/invariant_auditor.hh"
 #include "harness/runner.hh"
 #include "sim/multi_config_engine.hh"
 #include "solo_reference.hh"
+#include "workload/trace.hh"
 
 namespace seesaw {
 namespace {
@@ -138,6 +142,20 @@ TEST(MultiConfigEngine, MixedGeometriesFormMultipleTlbGroups)
     SystemConfig h = baseConfig(L1Kind::Pipt);
     h.piptTlbCycles = 3;
     configs.push_back(h);
+
+    // Three hierarchies: Sandy Bridge split TLBs (a, b, f, g, h), Atom
+    // (c, d) and the unified L1 TLB (e). Each complex looks up in its
+    // group's.
+    MultiConfigEngine engine(configs, testWorkload());
+    std::set<const TlbHierarchy *> tlbs;
+    for (unsigned s = 0; s < engine.substrates(); ++s) {
+        tlbs.insert(&engine.tlb(s));
+        EXPECT_EQ(&engine.complex(s).tlb(), &engine.tlb(s)) << s;
+    }
+    EXPECT_EQ(tlbs.size(), 3u);
+    for (unsigned s : {1u, 5u, 6u, 7u})
+        EXPECT_EQ(&engine.tlb(s), &engine.tlb(0)) << s;
+    EXPECT_EQ(&engine.tlb(3), &engine.tlb(2));
 
     expectOnePassMatchesSerial(configs, testWorkload());
 }
@@ -452,6 +470,41 @@ TEST(MultiConfigEngineReplay, InstructionCachePathAtEveryThreadCount)
     mixed.icacheKind = SystemConfig::ICacheKind::Vipt;
     configs.push_back(mixed);
     expectSameAtEveryThreadCount(configs, w);
+}
+
+TEST(MultiConfigEngineReplay, TraceLoopsAtEveryThreadCount)
+{
+    // A trace far shorter than the budget, so the front end re-opens
+    // it mid-run; every eighth reference lands outside the mapped heap
+    // and demand-faults on the first loop. Two TLB groups.
+    const std::string path =
+        std::string(::testing::TempDir()) + "/mce_loop.trace";
+    {
+        ReferenceStream stream(testWorkload(), Addr{1} << 40, 0x100f);
+        TraceWriter writer(path);
+        for (unsigned i = 0; i < 2'000; ++i) {
+            MemRef ref = stream.next();
+            if (i % 8 == 7)
+                ref.va = (Addr{3} << 40) + (i / 8) * 0x3000ULL;
+            writer.append(ref);
+        }
+    }
+    std::vector<SystemConfig> configs;
+    for (L1Kind kind : {L1Kind::Seesaw, L1Kind::ViptBaseline})
+        configs.push_back(baseConfig(kind));
+    SystemConfig in_order = baseConfig(L1Kind::Seesaw);
+    in_order.coreKind = CoreKind::InOrder;
+    configs.push_back(in_order);
+    for (SystemConfig &cfg : configs) {
+        cfg.tracePath = path;
+        cfg.warmupInstructions = 0; // measure the first loop's faults
+    }
+
+    expectSameAtEveryThreadCount(configs, testWorkload());
+    const RunResult r = soloReferenceRun(configs[0], testWorkload());
+    EXPECT_GT(r.pageFaults, 0u);
+    EXPECT_GT(r.l1Accesses, 2'000u); // more references than the file
+    std::remove(path.c_str());
 }
 
 TEST(MultiConfigEngineReplay, FourCoreDirectoryAtEveryThreadCount)

@@ -69,8 +69,8 @@ const std::map<std::string, int> kLayerRank = {
 // nested classes written Outer::Inner). The closures grow through the
 // extracted owning-member facts.
 const std::set<std::string> kFrontEndRoots = {
-    "OsMemoryManager", "Memhog", "ReferenceStream", "CodeStream",
-    "TraceReader",
+    "OsMemoryManager", "Memhog", "CoreFrontEnd", "ReferenceStream",
+    "CodeStream", "TraceReader",
 };
 const std::set<std::string> kSharedTlbRoots = {"TlbHierarchy"};
 const std::set<std::string> kSubstrateRoots = {
@@ -677,7 +677,7 @@ checkOwnershipMap(const Facts &facts, const Closures &closures,
     const std::string substrateCls =
         std::string(kEngineClass) + "::Substrate";
     const std::set<std::string> frontEndSide = {
-        kEngineClass, std::string(kEngineClass) + "::CoreFrontEnd",
+        kEngineClass, "CoreFrontEnd",
         std::string(kEngineClass) + "::TlbGroup"};
 
     bool sawSubstrate = false;
