@@ -62,13 +62,6 @@ withDesign(SystemConfig cfg, L1Kind kind)
     return cfg;
 }
 
-/** Cell-name suffix for the two designs every comparison sweeps. */
-inline const char *
-designLabel(L1Kind kind)
-{
-    return kind == L1Kind::ViptBaseline ? "vipt" : "seesaw";
-}
-
 /**
  * Run @p spec with the bench defaults — SEESAW_JOBS-many workers
  * (hardware_concurrency when unset) and progress on stderr — and
@@ -92,63 +85,6 @@ parseOnOff(const char *flag, const std::string &value)
     std::fprintf(stderr, "%s wants on|off, got %s\n", flag,
                  value.c_str());
     std::exit(1);
-}
-
-/** Parse a replacement-policy name (fatal otherwise). */
-inline ReplacementKind
-parseReplacement(const std::string &name)
-{
-    if (name == "lru")
-        return ReplacementKind::Lru;
-    if (name == "fifo")
-        return ReplacementKind::Fifo;
-    if (name == "random")
-        return ReplacementKind::Random;
-    if (name == "srrip")
-        return ReplacementKind::Srrip;
-    std::fprintf(stderr,
-                 "unknown replacement %s (use lru|fifo|random|srrip)\n",
-                 name.c_str());
-    std::exit(1);
-}
-
-/** Parse a prefetch-engine name (fatal otherwise). */
-inline PrefetchKind
-parsePrefetch(const std::string &name)
-{
-    if (name == "none")
-        return PrefetchKind::None;
-    if (name == "nextline")
-        return PrefetchKind::NextLine;
-    if (name == "stride")
-        return PrefetchKind::Stride;
-    std::fprintf(stderr,
-                 "unknown prefetcher %s (use none|nextline|stride)\n",
-                 name.c_str());
-    std::exit(1);
-}
-
-inline const char *
-replacementLabel(ReplacementKind kind)
-{
-    switch (kind) {
-      case ReplacementKind::Lru: return "lru";
-      case ReplacementKind::Fifo: return "fifo";
-      case ReplacementKind::Random: return "random";
-      case ReplacementKind::Srrip: return "srrip";
-    }
-    return "?";
-}
-
-inline const char *
-prefetchLabel(PrefetchKind kind)
-{
-    switch (kind) {
-      case PrefetchKind::None: return "none";
-      case PrefetchKind::NextLine: return "nextline";
-      case PrefetchKind::Stride: return "stride";
-    }
-    return "?";
 }
 
 /** Replacement/prefetch overrides a figure binary applies to every
@@ -185,9 +121,9 @@ parseBenchArgs(int argc, char **argv, PolicyArgs *policy = nullptr)
         if (arg == "--one-pass" && i + 1 < argc) {
             options.onePass = parseOnOff("--one-pass", argv[++i]);
         } else if (policy && arg == "--replacement" && i + 1 < argc) {
-            policy->replacement.kind = parseReplacement(argv[++i]);
+            policy->replacement.kind = parseReplacementKind(argv[++i]);
         } else if (policy && arg == "--prefetch" && i + 1 < argc) {
-            policy->prefetch.kind = parsePrefetch(argv[++i]);
+            policy->prefetch.kind = parsePrefetchKind(argv[++i]);
         } else {
             std::fprintf(stderr,
                          "usage: %s [--one-pass on|off]%s\n", argv[0],

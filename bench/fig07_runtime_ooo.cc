@@ -36,7 +36,7 @@ main(int argc, char **argv)
         const SystemConfig cfg = policy.apply(makeConfig(org, 1.33));
         for (L1Kind kind : {L1Kind::ViptBaseline, L1Kind::Seesaw}) {
             spec.variant(std::string(org.label) + "/" +
-                             designLabel(kind),
+                             l1KindName(kind),
                          withDesign(cfg, kind));
         }
     }

@@ -52,7 +52,7 @@ main(int argc, char **argv)
                     TableReporter::fmt(freq, 2) + "GHz/" + org.label;
                 for (L1Kind kind :
                      {L1Kind::ViptBaseline, L1Kind::Seesaw}) {
-                    spec.variant(point + "/" + designLabel(kind),
+                    spec.variant(point + "/" + l1KindName(kind),
                                  withDesign(cfg, kind));
                 }
             }

@@ -49,7 +49,7 @@ main(int argc, char **argv)
                 cfg.l1Kind = kind;
                 const std::string cell_name =
                     std::string(name) + "/c" + std::to_string(cores) +
-                    "/" + designLabel(kind);
+                    "/" + l1KindName(kind);
                 spec.cell(cell_name, w, cfg);
             }
         }

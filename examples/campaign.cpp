@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "campaign_grid.hh"
+#include "common/jobs.hh"
 #include "service/broker.hh"
 #include "store/result_store.hh"
 #include "store/store_sink.hh"
@@ -160,6 +161,16 @@ main(int argc, char **argv)
         }
         return argv[i + 1];
     };
+    // --jobs takes exactly what SEESAW_JOBS takes; --workers 0 keeps
+    // the thread path.
+    auto need_count = [&](int i, unsigned min) -> unsigned {
+        const char *text = need_value(i);
+        if (const auto count = parseJobs(text, min))
+            return *count;
+        std::fprintf(stderr, "%s wants a whole number >= %u, got '%s'\n",
+                     argv[i], min, text);
+        std::exit(1);
+    };
 
     for (int i = 1; i < argc; ++i) {
         if (gridOptions.parseArg(argc, argv, i))
@@ -169,7 +180,7 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else if (arg == "--jobs") {
-            options.jobs = std::atoi(need_value(i++));
+            options.jobs = need_count(i++, 1);
         } else if (arg == "--one-pass") {
             options.onePass =
                 bench::parseOnOff("--one-pass", need_value(i++));
@@ -180,7 +191,7 @@ main(int argc, char **argv)
         } else if (arg == "--resume") {
             resume = true;
         } else if (arg == "--workers") {
-            workers = std::atoi(need_value(i++));
+            workers = need_count(i++, 0);
         } else if (arg == "--lease") {
             lease_seconds = std::atof(need_value(i++));
         } else if (arg == "--list") {

@@ -1,10 +1,10 @@
 /**
  * @file
  * The campaign grid, shared between the `campaign` driver and the
- * `seesaw_worker` process. Cell thunks cannot cross a process
- * boundary, so the service ships *arguments* instead: the driver
- * forwards its grid options verbatim (toArgs()) and every worker
- * rebuilds the identical CampaignSpec from them (buildSpec()). The
+ * `seesaw_worker` process. A CampaignSpec is built by code, so the
+ * service ships the *arguments* that build it: the driver forwards its
+ * grid options verbatim (toArgs()) and every worker rebuilds the
+ * identical CampaignSpec from them (buildSpec()). The
  * option values are kept as the raw command-line strings so the
  * round-trip is exact — both sides parse the same bytes and therefore
  * derive the same cells, labels and config hashes.
@@ -41,25 +41,6 @@ splitList(const std::string &arg)
     return out;
 }
 
-inline L1Kind
-parseDesign(const std::string &kind)
-{
-    if (kind == "vipt")
-        return L1Kind::ViptBaseline;
-    if (kind == "pipt")
-        return L1Kind::Pipt;
-    if (kind == "sipt")
-        return L1Kind::Sipt;
-    if (kind == "seesaw")
-        return L1Kind::Seesaw;
-    if (kind == "wp")
-        return L1Kind::ViptWayPredicted;
-    if (kind == "wpseesaw")
-        return L1Kind::SeesawWayPredicted;
-    std::fprintf(stderr, "unknown design %s\n", kind.c_str());
-    std::exit(1);
-}
-
 inline bench::CacheOrg
 parseOrg(const std::string &size)
 {
@@ -81,7 +62,6 @@ struct McCellSpec
     std::string workload;
     unsigned cores = 0;
     L1Kind kind = L1Kind::ViptBaseline;
-    std::string kindName;
 };
 
 inline McCellSpec
@@ -101,8 +81,7 @@ parseMcCell(const std::string &tok)
     mc.workload = tok.substr(0, c1);
     mc.cores = static_cast<unsigned>(std::strtoul(
         tok.substr(c1 + 1, c2 - c1 - 1).c_str(), nullptr, 10));
-    mc.kindName = tok.substr(c2 + 1);
-    mc.kind = parseDesign(mc.kindName);
+    mc.kind = parseL1Kind(tok.substr(c2 + 1));
     if (mc.cores < 2) {
         std::fprintf(stderr,
                      "--mc-cells needs >= 2 cores (got %s); use the "
@@ -218,7 +197,7 @@ struct GridOptions
         if (!designs.empty()) {
             designKinds.clear();
             for (const auto &kind : splitList(designs))
-                designKinds.push_back(parseDesign(kind));
+                designKinds.push_back(parseL1Kind(kind));
         }
         std::vector<CacheOrg> orgs(std::begin(kCacheOrgs),
                                    std::end(kCacheOrgs));
@@ -250,13 +229,13 @@ struct GridOptions
         if (!replacement.empty()) {
             policies.clear();
             for (const auto &name : splitList(replacement))
-                policies.push_back(parseReplacement(name));
+                policies.push_back(parseReplacementKind(name));
         }
         std::vector<PrefetchKind> prefetchers{PrefetchKind::None};
         if (!prefetch.empty()) {
             prefetchers.clear();
             for (const auto &name : splitList(prefetch))
-                prefetchers.push_back(parsePrefetch(name));
+                prefetchers.push_back(parsePrefetchKind(name));
         }
         // Suffix cell labels only when the axis leaves its pinned
         // default, so existing campaign stores keep their cell names.
@@ -264,9 +243,9 @@ struct GridOptions
                                       PrefetchKind pk) {
             std::string suffix;
             if (policies.size() > 1 || rk != ReplacementKind::Lru)
-                suffix += std::string("/") + replacementLabel(rk);
+                suffix += std::string("/") + replacementKindName(rk);
             if (prefetchers.size() > 1 || pk != PrefetchKind::None)
-                suffix += std::string("/") + prefetchLabel(pk);
+                suffix += std::string("/") + prefetchKindName(pk);
             return suffix;
         };
         const std::uint64_t instr =
@@ -304,30 +283,7 @@ struct GridOptions
                                      std::to_string(static_cast<int>(
                                          mh * 100));
                         }
-                        label +=
-                            std::string("/") + designLabel(kind);
-                        if (kind != L1Kind::ViptBaseline &&
-                            kind != L1Kind::Seesaw) {
-                            // designLabel only distinguishes the two
-                            // paper designs; spell the rest out.
-                            label =
-                                label.substr(0, label.rfind('/') + 1);
-                            switch (kind) {
-                              case L1Kind::Pipt:
-                                label += "pipt";
-                                break;
-                              case L1Kind::Sipt:
-                                label += "sipt";
-                                break;
-                              case L1Kind::ViptWayPredicted:
-                                label += "wp";
-                                break;
-                              case L1Kind::SeesawWayPredicted:
-                                label += "wpseesaw";
-                                break;
-                              default: break;
-                            }
-                        }
+                        label += std::string("/") + l1KindName(kind);
                         for (const ReplacementKind rk : policies) {
                             for (const PrefetchKind pk : prefetchers) {
                                 SystemConfig vcfg =
@@ -370,13 +326,12 @@ struct GridOptions
                         std::string name =
                             mc.workload + "/c" +
                             std::to_string(mc.cores) + "/" +
-                            mc.kindName;
+                            l1KindName(mc.kind);
                         if (seedList.size() > 1)
                             name += "/s" + std::to_string(seed);
                         name += policySuffix(rk, pk);
-                        // Simulate-cell form: carries the one-pass
-                        // info, so mc-cells sharing (workload, cores,
-                        // seed) group too.
+                        // mc-cells sharing (workload, cores, seed)
+                        // group under --one-pass too.
                         spec.cell(name, w, cfg);
                     }
                 }

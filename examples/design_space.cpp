@@ -9,8 +9,8 @@
  * partition widths (the §IV-A4 "4 ways per partition" choice) — on a
  * real workload.
  *
- * With --one-pass on, the candidate organisations share one trace
- * pass through MultiConfigEngine instead of re-simulating the
+ * The candidates run as a campaign. With --one-pass on they share one
+ * trace pass (RunnerOptions::onePass) instead of re-simulating the
  * workload per configuration — same numbers, one front end:
  *
  *   $ ./build/examples/design_space
@@ -22,8 +22,8 @@
 #include <cstring>
 #include <vector>
 
+#include "harness/runner.hh"
 #include "sim/experiment.hh"
-#include "sim/multi_config_engine.hh"
 #include "sim/report.hh"
 
 int
@@ -86,29 +86,26 @@ main(int argc, char **argv)
     // four share the workload, seed and OS policy — exactly one front
     // end — so --one-pass on runs them as a single trace pass.
     const unsigned widths[] = {2, 4, 8};
-    std::vector<SystemConfig> configs{base_cfg};
+    harness::CampaignSpec spec("design_space");
+    spec.cell("vipt", w, base_cfg);
     for (const unsigned ways : widths) {
         SystemConfig cfg = base_cfg;
         cfg.l1Kind = L1Kind::Seesaw;
         cfg.partitionWays = ways;
-        configs.push_back(cfg);
+        spec.cell(std::to_string(ways) + "-way", w, cfg);
     }
-
-    std::vector<RunResult> results;
-    if (one_pass) {
-        MultiConfigEngine engine(configs, w);
-        results = engine.run();
-    } else {
-        for (const SystemConfig &cfg : configs)
-            results.push_back(simulate(w, cfg));
-    }
-    const RunResult &base = results[0];
+    harness::RunnerOptions options;
+    options.progress = false;
+    options.onePass = one_pass;
+    const std::vector<harness::CellResult> results =
+        harness::CampaignRunner(options).run(spec).results;
+    const RunResult &base = results[0].result;
 
     TableReporter sweep({"partition", "fast-hit cycles", "speedup",
                          "energy saved", "hit rate"});
     for (std::size_t i = 0; i < std::size(widths); ++i) {
         const unsigned ways = widths[i];
-        const RunResult &r = results[i + 1];
+        const RunResult &r = results[i + 1].result;
         sweep.addRow(
             {std::to_string(ways) + "-way",
              std::to_string(latency.superpageCycles(64 * 1024, 16,

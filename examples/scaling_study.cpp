@@ -29,29 +29,6 @@ namespace {
 
 using namespace seesaw;
 
-bool
-parseDesign(const std::string &name, L1Kind &out)
-{
-    if (name == "vipt") out = L1Kind::ViptBaseline;
-    else if (name == "pipt") out = L1Kind::Pipt;
-    else if (name == "seesaw") out = L1Kind::Seesaw;
-    else if (name == "wp") out = L1Kind::ViptWayPredicted;
-    else if (name == "wpseesaw") out = L1Kind::SeesawWayPredicted;
-    else if (name == "sipt") out = L1Kind::Sipt;
-    else return false;
-    return true;
-}
-
-bool
-parseFabric(const std::string &name, CoherenceKind &out)
-{
-    if (name == "directory") out = CoherenceKind::Directory;
-    else if (name == "snoopy") out = CoherenceKind::Snoopy;
-    else if (name == "none") out = CoherenceKind::None;
-    else return false;
-    return true;
-}
-
 std::vector<unsigned>
 parseCores(const std::string &list)
 {
@@ -82,8 +59,6 @@ main(int argc, char **argv)
     std::vector<unsigned> core_counts = {1, 2, 4, 8, 16};
     L1Kind design = L1Kind::Seesaw;
     CoherenceKind fabric = CoherenceKind::Directory;
-    std::string design_name = "seesaw";
-    std::string fabric_name = "directory";
     std::string workload_name = "tunk";
 
     for (int i = 1; i < argc; ++i) {
@@ -99,19 +74,9 @@ main(int argc, char **argv)
         if (arg == "--cores") {
             core_counts = parseCores(value());
         } else if (arg == "--l1") {
-            design_name = value();
-            if (!parseDesign(design_name, design)) {
-                std::fprintf(stderr, "unknown --l1 design '%s'\n",
-                             design_name.c_str());
-                return 2;
-            }
+            design = parseL1Kind(value());
         } else if (arg == "--fabric") {
-            fabric_name = value();
-            if (!parseFabric(fabric_name, fabric)) {
-                std::fprintf(stderr, "unknown --fabric '%s'\n",
-                             fabric_name.c_str());
-                return 2;
-            }
+            fabric = parseCoherenceKind(value());
         } else if (arg == "--workload") {
             workload_name = value();
         } else {
@@ -127,8 +92,9 @@ main(int argc, char **argv)
 
     printBanner("scaling_study",
                 std::string("SEESAW benefit sources vs core count (") +
-                    workload_name + ", 64KB L1s, " + fabric_name +
-                    " fabric, design " + design_name + ")");
+                    workload_name + ", 64KB L1s, " +
+                    coherenceKindName(fabric) +
+                    " fabric, design " + l1KindName(design) + ")");
 
     const WorkloadSpec &w = findWorkload(workload_name);
 

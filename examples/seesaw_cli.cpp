@@ -42,7 +42,8 @@ usage()
         "  --core KIND         ooo | inorder (default ooo)\n"
         "  --memhog FRAC       fragment FRAC of memory first "
         "(default 0)\n"
-        "  --fabric KIND       directory | snoopy (default directory)\n"
+        "  --fabric KIND       directory | snoopy | none "
+        "(default directory)\n"
         "  --policy KIND       4way | 4way8way (default 4way)\n"
         "  --replacement KIND  lru | fifo | random | srrip "
         "(default lru)\n"
@@ -153,24 +154,7 @@ main(int argc, char **argv)
         } else if (arg == "--trace") {
             cfg.tracePath = need_value(i++);
         } else if (arg == "--design") {
-            const std::string kind = need_value(i++);
-            if (kind == "vipt")
-                cfg.l1Kind = L1Kind::ViptBaseline;
-            else if (kind == "pipt")
-                cfg.l1Kind = L1Kind::Pipt;
-            else if (kind == "sipt")
-                cfg.l1Kind = L1Kind::Sipt;
-            else if (kind == "seesaw")
-                cfg.l1Kind = L1Kind::Seesaw;
-            else if (kind == "wp")
-                cfg.l1Kind = L1Kind::ViptWayPredicted;
-            else if (kind == "wpseesaw")
-                cfg.l1Kind = L1Kind::SeesawWayPredicted;
-            else {
-                std::fprintf(stderr, "unknown design %s\n",
-                             kind.c_str());
-                return 1;
-            }
+            cfg.l1Kind = parseL1Kind(need_value(i++));
         } else if (arg == "--l1") {
             const std::string size = need_value(i++);
             if (size == "32K" || size == "32k")
@@ -190,48 +174,17 @@ main(int argc, char **argv)
         } else if (arg == "--freq") {
             cfg.freqGhz = std::atof(need_value(i++));
         } else if (arg == "--core") {
-            const std::string kind = need_value(i++);
-            cfg.coreKind = kind == "inorder" ? CoreKind::InOrder
-                                             : CoreKind::OutOfOrder;
+            cfg.coreKind = parseCoreKind(need_value(i++));
         } else if (arg == "--memhog") {
             cfg.memhogFraction = std::atof(need_value(i++));
         } else if (arg == "--fabric") {
-            const std::string kind = need_value(i++);
-            cfg.fabric = kind == "snoopy" ? CoherenceKind::Snoopy
-                                          : CoherenceKind::Directory;
+            cfg.fabric = parseCoherenceKind(need_value(i++));
         } else if (arg == "--policy") {
-            const std::string kind = need_value(i++);
-            cfg.policy = kind == "4way8way"
-                             ? InsertionPolicy::FourWayEightWay
-                             : InsertionPolicy::FourWay;
+            cfg.policy = parseInsertionPolicy(need_value(i++));
         } else if (arg == "--replacement") {
-            const std::string kind = need_value(i++);
-            if (kind == "lru")
-                cfg.replacement.kind = ReplacementKind::Lru;
-            else if (kind == "fifo")
-                cfg.replacement.kind = ReplacementKind::Fifo;
-            else if (kind == "random")
-                cfg.replacement.kind = ReplacementKind::Random;
-            else if (kind == "srrip")
-                cfg.replacement.kind = ReplacementKind::Srrip;
-            else {
-                std::fprintf(stderr, "unknown replacement %s\n",
-                             kind.c_str());
-                return 1;
-            }
+            cfg.replacement.kind = parseReplacementKind(need_value(i++));
         } else if (arg == "--prefetch") {
-            const std::string kind = need_value(i++);
-            if (kind == "none")
-                cfg.prefetch.kind = PrefetchKind::None;
-            else if (kind == "nextline")
-                cfg.prefetch.kind = PrefetchKind::NextLine;
-            else if (kind == "stride")
-                cfg.prefetch.kind = PrefetchKind::Stride;
-            else {
-                std::fprintf(stderr, "unknown prefetcher %s\n",
-                             kind.c_str());
-                return 1;
-            }
+            cfg.prefetch.kind = parsePrefetchKind(need_value(i++));
         } else if (arg == "--tft") {
             const std::string spec = need_value(i++);
             const auto colon = spec.find(':');

@@ -72,11 +72,12 @@ for stage in "${stages[@]}"; do
         banner "TSan build + threaded smoke"
         cmake -S "$repo" -B "$repo/build-tsan" -DSEESAW_SANITIZE=tsan
         cmake --build "$repo/build-tsan" -j "$jobs"
-        # The harness and the one-pass substrate replay own all the
+        # The harness, the one-pass substrate replay and the service
+        # workers (real cells plus heartbeat threads) own all the
         # threading; run their suites plus parallel campaigns so real
         # worker interleavings execute.
         ctest --test-dir "$repo/build-tsan" --output-on-failure \
-            -R 'ThreadPool|Campaign|Sink|MultiConfigEngine'
+            -R 'ThreadPool|Campaign|Sink|MultiConfigEngine|Service\.|ParseJobs'
         "$repo/build-tsan/examples/campaign" --campaign tsan-smoke \
             --workloads redis,mcf --l1 32K --jobs 2 \
             --instructions 50000 --quiet

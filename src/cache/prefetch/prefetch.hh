@@ -18,8 +18,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
+#include "common/name_table.hh"
 #include "common/types.hh"
 
 namespace seesaw {
@@ -30,6 +32,24 @@ enum class PrefetchKind : std::uint8_t {
     NextLine, //!< sequential next-N-lines on demand misses
     Stride,   //!< stream table tracking strides across page frontiers
 };
+
+inline constexpr EnumName<PrefetchKind> kPrefetchKindNames[] = {
+    {PrefetchKind::None, "none"},
+    {PrefetchKind::NextLine, "nextline"},
+    {PrefetchKind::Stride, "stride"},
+};
+
+inline PrefetchKind
+parsePrefetchKind(std::string_view name)
+{
+    return parseEnumName(kPrefetchKindNames, name, "prefetcher");
+}
+
+inline const char *
+prefetchKindName(PrefetchKind kind)
+{
+    return enumName(kPrefetchKindNames, kind);
+}
 
 /** Prefetch configuration, threaded through SystemConfig. */
 struct PrefetchParams

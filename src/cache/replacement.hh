@@ -30,9 +30,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/name_table.hh"
 #include "common/random.hh"
 #include "common/types.hh"
 
@@ -72,6 +74,26 @@ enum class ReplacementKind : std::uint8_t {
     Random, //!< uniform over the range, seeded deterministically
     Srrip,  //!< static re-reference interval prediction
 };
+
+inline constexpr EnumName<ReplacementKind> kReplacementKindNames[] = {
+    {ReplacementKind::Lru, "lru"},
+    {ReplacementKind::Fifo, "fifo"},
+    {ReplacementKind::Random, "random"},
+    {ReplacementKind::Srrip, "srrip"},
+};
+
+inline ReplacementKind
+parseReplacementKind(std::string_view name)
+{
+    return parseEnumName(kReplacementKindNames, name,
+                         "replacement policy");
+}
+
+inline const char *
+replacementKindName(ReplacementKind kind)
+{
+    return enumName(kReplacementKindNames, kind);
+}
 
 /** Replacement configuration, shared by caches, TLBs and the TFT. */
 struct ReplacementParams

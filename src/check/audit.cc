@@ -2,36 +2,7 @@
 
 #include <sstream>
 
-#include "common/logging.hh"
-
 namespace seesaw::check {
-
-AuditMode
-parseAuditMode(std::string_view text)
-{
-    if (text == "off")
-        return AuditMode::Off;
-    if (text == "end")
-        return AuditMode::End;
-    if (text == "periodic")
-        return AuditMode::Periodic;
-    if (text == "paranoid")
-        return AuditMode::Paranoid;
-    SEESAW_FATAL("unknown audit mode '", std::string(text),
-                 "' (use off|end|periodic|paranoid)");
-}
-
-const char *
-auditModeName(AuditMode mode)
-{
-    switch (mode) {
-      case AuditMode::Off: return "off";
-      case AuditMode::End: return "end";
-      case AuditMode::Periodic: return "periodic";
-      case AuditMode::Paranoid: return "paranoid";
-    }
-    return "?";
-}
 
 std::string
 formatViolation(const Violation &v)

@@ -16,6 +16,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/name_table.hh"
 #include "common/types.hh"
 
 namespace seesaw::check {
@@ -46,11 +47,26 @@ struct AuditOptions
     std::uint64_t periodEvents = 65'536;
 };
 
+inline constexpr EnumName<AuditMode> kAuditModeNames[] = {
+    {AuditMode::Off, "off"},
+    {AuditMode::End, "end"},
+    {AuditMode::Periodic, "periodic"},
+    {AuditMode::Paranoid, "paranoid"},
+};
+
 /** Parse "off|end|periodic|paranoid" (fatal on anything else). */
-AuditMode parseAuditMode(std::string_view text);
+inline AuditMode
+parseAuditMode(std::string_view text)
+{
+    return parseEnumName(kAuditModeNames, text, "audit mode");
+}
 
 /** The lower-case name parseAuditMode() accepts for @p mode. */
-const char *auditModeName(AuditMode mode);
+inline const char *
+auditModeName(AuditMode mode)
+{
+    return enumName(kAuditModeNames, mode);
+}
 
 /**
  * One invariant violation, as reported by a check. The default

@@ -11,8 +11,10 @@
 #define SEESAW_COHERENCE_SNOOP_BUS_HH
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
+#include "common/name_table.hh"
 #include "common/random.hh"
 #include "common/types.hh"
 
@@ -26,6 +28,24 @@ enum class CoherenceKind : std::uint8_t {
      *  synthetic probe load, multi-core runs share only the LLC. */
     None,
 };
+
+inline constexpr EnumName<CoherenceKind> kCoherenceKindNames[] = {
+    {CoherenceKind::Directory, "directory"},
+    {CoherenceKind::Snoopy, "snoopy"},
+    {CoherenceKind::None, "none"},
+};
+
+inline CoherenceKind
+parseCoherenceKind(std::string_view name)
+{
+    return parseEnumName(kCoherenceKindNames, name, "coherence fabric");
+}
+
+inline const char *
+coherenceKindName(CoherenceKind kind)
+{
+    return enumName(kCoherenceKindNames, kind);
+}
 
 /**
  * Tracks lines recently resident in the local L1 so the probe stream

@@ -8,11 +8,22 @@
 #ifndef SEESAW_COMMON_JOBS_HH
 #define SEESAW_COMMON_JOBS_HH
 
+#include <optional>
+#include <string_view>
+
 namespace seesaw {
 
 /**
+ * Parse a thread or process count: a whole decimal number in
+ * [@p min, UINT_MAX]. @return nothing for any other text (empty,
+ * trailing junk, negative, out of range).
+ */
+std::optional<unsigned> parseJobs(std::string_view text,
+                                  unsigned min = 1);
+
+/**
  * Default worker-thread count: the SEESAW_JOBS environment variable
- * when it is a whole decimal number in [1, UINT_MAX], otherwise
+ * when parseJobs() accepts it, otherwise
  * std::thread::hardware_concurrency (itself clamped to >= 1). Any
  * other SEESAW_JOBS value (trailing junk, zero, negative, out of
  * range) is ignored with a warning.

@@ -21,9 +21,11 @@
 #define SEESAW_CORE_SEESAW_CACHE_HH
 
 #include <memory>
+#include <string_view>
 
 #include "cache/l1_cache.hh"
 #include "cache/way_predictor.hh"
+#include "common/name_table.hh"
 #include "core/tft.hh"
 #include "model/latency_table.hh"
 
@@ -43,6 +45,24 @@ enum class InsertionPolicy : std::uint8_t
      *  page is mapped both as a base page and as a superpage. */
     FourWayEightWay,
 };
+
+inline constexpr EnumName<InsertionPolicy> kInsertionPolicyNames[] = {
+    {InsertionPolicy::FourWay, "4way"},
+    {InsertionPolicy::FourWayEightWay, "4way8way"},
+};
+
+inline InsertionPolicy
+parseInsertionPolicy(std::string_view name)
+{
+    return parseEnumName(kInsertionPolicyNames, name,
+                         "insertion policy");
+}
+
+inline const char *
+insertionPolicyName(InsertionPolicy policy)
+{
+    return enumName(kInsertionPolicyNames, policy);
+}
 
 /** SEESAW cache configuration. */
 struct SeesawConfig

@@ -22,7 +22,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string_view>
 
+#include "common/name_table.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -34,6 +36,23 @@ enum class CoreKind : std::uint8_t
     InOrder,    //!< ~Intel Atom
     OutOfOrder, //!< ~Intel Sandybridge
 };
+
+inline constexpr EnumName<CoreKind> kCoreKindNames[] = {
+    {CoreKind::InOrder, "inorder"},
+    {CoreKind::OutOfOrder, "ooo"},
+};
+
+inline CoreKind
+parseCoreKind(std::string_view name)
+{
+    return parseEnumName(kCoreKindNames, name, "core kind");
+}
+
+inline const char *
+coreKindName(CoreKind kind)
+{
+    return enumName(kCoreKindNames, kind);
+}
 
 /** Timing of one memory access as seen by the core. */
 struct MemTiming

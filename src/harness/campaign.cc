@@ -4,7 +4,6 @@
 #include <type_traits>
 
 #include "common/logging.hh"
-#include "sim/experiment.hh"
 
 namespace seesaw::harness {
 
@@ -140,34 +139,11 @@ CampaignSpec::seeds(std::vector<std::uint64_t> seeds)
 }
 
 CampaignSpec &
-CampaignSpec::cell(std::string name, std::function<RunResult()> run,
-                   std::uint64_t seed, std::uint64_t config_hash,
-                   std::string workload)
-{
-    SEESAW_ASSERT(run, "explicit cell needs a runner");
-    Cell c;
-    c.name = std::move(name);
-    c.workload = std::move(workload);
-    c.seed = seed;
-    c.configHash = config_hash;
-    c.run = std::move(run);
-    explicit_.push_back(std::move(c));
-    return *this;
-}
-
-CampaignSpec &
 CampaignSpec::cell(std::string name, const WorkloadSpec &workload,
                    const SystemConfig &config)
 {
-    Cell c;
-    c.name = std::move(name);
-    c.workload = workload.name;
-    c.seed = config.seed;
-    c.configHash = configHash(config);
-    c.onePass = std::make_shared<const Cell::OnePassInfo>(
-        Cell::OnePassInfo{workload, config});
-    c.run = [workload, config] { return simulate(workload, config); };
-    explicit_.push_back(std::move(c));
+    explicit_.push_back(
+        Cell{std::move(name), workload, config, configHash(config)});
     return *this;
 }
 
@@ -180,19 +156,14 @@ CampaignSpec::cells() const
     for (const auto &w : workloads_) {
         for (const auto &[label, config] : variants_) {
             for (const std::uint64_t seed : seeds_) {
-                Cell c;
-                c.name = w.name + "/" + label;
+                std::string name = w.name + "/" + label;
                 if (seeds_.size() > 1)
-                    c.name += "/s" + std::to_string(seed);
-                c.workload = w.name;
-                c.seed = seed;
+                    name += "/s" + std::to_string(seed);
                 SystemConfig seeded = config;
                 seeded.seed = seed;
-                c.configHash = configHash(seeded);
-                c.onePass = std::make_shared<const Cell::OnePassInfo>(
-                    Cell::OnePassInfo{w, seeded});
-                c.run = [w, seeded] { return simulate(w, seeded); };
-                out.push_back(std::move(c));
+                const std::uint64_t hash = configHash(seeded);
+                out.push_back(Cell{std::move(name), w, std::move(seeded),
+                                   hash});
             }
         }
     }

@@ -65,34 +65,6 @@ class Progress
     AnnotatedMutex mutex_; //!< keeps stderr lines whole across workers
 };
 
-/** Per-run shared state for the completion callback. */
-struct CellHooks
-{
-    const std::function<void(const CellResult &)> *const onCellDone;
-    AnnotatedMutex mutex; //!< serializes the callback across workers
-};
-
-CellResult
-runCell(const Cell &cell, Progress &progress, CellHooks &hooks)
-{
-    CellResult out;
-    out.name = cell.name;
-    out.workload = cell.workload;
-    out.seed = cell.seed;
-    out.configHash = cell.configHash;
-    const auto start = Clock::now();
-    out.result = cell.run();
-    out.wallSeconds = secondsSince(start);
-    if (out.workload.empty())
-        out.workload = out.result.workload;
-    progress.cellDone(cell.name, out.wallSeconds);
-    if (hooks.onCellDone != nullptr && *hooks.onCellDone) {
-        MutexLock lock(hooks.mutex);
-        (*hooks.onCellDone)(out);
-    }
-    return out;
-}
-
 /**
  * Canonical serialization of a WorkloadSpec. One-pass groups must
  * share the exact spec, not just its name: benches override footprints
@@ -115,32 +87,22 @@ workloadKey(const WorkloadSpec &w)
     return os.str();
 }
 
-/**
- * Execution plan: normally one task per cell; with one-pass grouping,
- * simulate() cells that share (workload, front-end key) collapse into
- * one multi-config task each, in first-member order. Custom-thunk
- * cells always stay singletons.
- */
+} // namespace
+
 std::vector<std::vector<std::size_t>>
 planTasks(const std::vector<Cell> &cells, bool one_pass)
 {
     std::vector<std::vector<std::size_t>> tasks;
     tasks.reserve(cells.size());
-    if (!one_pass) {
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            tasks.push_back({i});
-        return tasks;
-    }
     std::map<std::string, std::size_t> group_of;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!cells[i].onePass) {
+        if (!one_pass) {
             tasks.push_back({i});
             continue;
         }
-        std::string key =
-            workloadKey(cells[i].onePass->workload);
+        std::string key = workloadKey(cells[i].workload);
         key += '\x1f';
-        key += MultiConfigEngine::frontEndKey(cells[i].onePass->config);
+        key += MultiConfigEngine::frontEndKey(cells[i].config);
         const auto [it, fresh] =
             group_of.try_emplace(std::move(key), tasks.size());
         if (fresh)
@@ -151,56 +113,37 @@ planTasks(const std::vector<Cell> &cells, bool one_pass)
     return tasks;
 }
 
-/** Run one task — a lone cell via its thunk, or a >= 2-member group
- *  as a single MultiConfigEngine pass (replaying its substrates on up
- *  to @p replay_threads threads) whose results land in the members'
- *  own slots. @return the group's replay threads, 0 for a lone cell. */
-unsigned
+std::vector<CellResult>
 runTask(const std::vector<Cell> &cells,
-        const std::vector<std::size_t> &members,
-        std::vector<CellResult> &slots, std::vector<char> &ran,
-        Progress &progress, CellHooks &hooks, unsigned replay_threads)
+        const std::vector<std::size_t> &members, unsigned replay_threads,
+        unsigned *replayed)
 {
-    if (members.size() == 1) {
-        slots[members[0]] = runCell(cells[members[0]], progress, hooks);
-        ran[members[0]] = 1;
-        return 0;
-    }
     std::vector<SystemConfig> configs;
     configs.reserve(members.size());
     for (const std::size_t i : members)
-        configs.push_back(cells[i].onePass->config);
+        configs.push_back(cells[i].config);
     const auto start = Clock::now();
     MultiConfigEngine engine(std::move(configs),
-                             cells[members[0]].onePass->workload,
-                             replay_threads);
+                             cells[members[0]].workload, replay_threads);
     std::vector<RunResult> results = engine.run();
     // One pass produced every member's result; report the shared wall
     // time as an even split so per-cell accounting stays meaningful.
     const double wall = secondsSince(start) / members.size();
+    if (replayed != nullptr)
+        *replayed = engine.replayThreads();
+
+    std::vector<CellResult> out(members.size());
     for (std::size_t k = 0; k < members.size(); ++k) {
         const Cell &cell = cells[members[k]];
-        CellResult out;
-        out.name = cell.name;
-        out.workload = cell.workload;
-        out.seed = cell.seed;
-        out.configHash = cell.configHash;
-        out.result = std::move(results[k]);
-        out.wallSeconds = wall;
-        if (out.workload.empty())
-            out.workload = out.result.workload;
-        progress.cellDone(cell.name, wall);
-        if (hooks.onCellDone != nullptr && *hooks.onCellDone) {
-            MutexLock lock(hooks.mutex);
-            (*hooks.onCellDone)(out);
-        }
-        slots[members[k]] = std::move(out);
-        ran[members[k]] = 1;
+        out[k].name = cell.name;
+        out[k].workload = cell.workload.name;
+        out[k].seed = cell.config.seed;
+        out[k].configHash = cell.configHash;
+        out[k].wallSeconds = wall;
+        out[k].result = std::move(results[k]);
     }
-    return engine.replayThreads();
+    return out;
 }
-
-} // namespace
 
 void
 requestStop()
@@ -265,33 +208,44 @@ CampaignRunner::runCells(const std::string &name,
 
     const auto start = Clock::now();
     Progress progress(name, cells.size(), options_.progress);
-    CellHooks hooks{&options_.onCellDone, {}};
+    AnnotatedMutex done_mutex; //!< serializes onCellDone across workers
 
     const std::vector<std::vector<std::size_t>> tasks =
         planTasks(cells, options_.onePass);
 
+    // Each task writes only its own members' pre-sized slots, so
+    // result order is the cell order no matter who finishes when.
+    std::vector<unsigned> replayed(tasks.size(), 0);
+    const auto run_task = [&](std::size_t t, unsigned replay_threads) {
+        std::vector<CellResult> results =
+            runTask(cells, tasks[t], replay_threads, &replayed[t]);
+        for (std::size_t k = 0; k < results.size(); ++k) {
+            progress.cellDone(results[k].name, results[k].wallSeconds);
+            if (options_.onCellDone) {
+                MutexLock lock(done_mutex);
+                options_.onCellDone(results[k]);
+            }
+            slots[tasks[t][k]] = std::move(results[k]);
+            ran[tasks[t][k]] = 1;
+        }
+    };
+
     // Replay threads per task: tasks run inline hand a one-pass group
     // the whole budget; tasks sharing the pool already use it.
-    std::vector<unsigned> replayed(tasks.size(), 0);
     if (jobs <= 1 || tasks.size() <= 1) {
         for (std::size_t t = 0; t < tasks.size(); ++t) {
             if (stopRequested())
                 break;
-            replayed[t] = runTask(cells, tasks[t], slots, ran, progress,
-                                  hooks, jobs);
+            run_task(t, jobs);
         }
     } else {
         ThreadPool pool(jobs);
-        // Each task writes only its own pre-sized slots, so result
-        // order is the cell order no matter who finishes when. A
-        // stop request makes not-yet-started tasks no-ops while
+        // A stop request makes not-yet-started tasks no-ops while
         // in-flight cells (or one-pass groups) run to completion.
         for (std::size_t t = 0; t < tasks.size(); ++t) {
             pool.submit([&, t] {
-                if (stopRequested())
-                    return;
-                replayed[t] = runTask(cells, tasks[t], slots, ran,
-                                      progress, hooks, 1);
+                if (!stopRequested())
+                    run_task(t, 1);
             });
         }
         pool.wait();

@@ -1,10 +1,12 @@
 /**
  * @file
- * Executes a campaign's cells across a thread pool. Results come back
- * in cell order regardless of completion order, and every cell runs a
- * fresh, self-contained simulation, so a parallel run is bit-identical
- * to a serial one. Progress (cells done/total, per-cell wall time,
- * ETA) goes to stderr under a mutex.
+ * Executes a campaign's cells across a thread pool. The cells are
+ * planned into tasks — one per cell, or with one-pass grouping one per
+ * shared front end — and runTask() executes every task, lone cells
+ * included, as one fresh MultiConfigEngine pass. Results come back in
+ * cell order regardless of completion order, so a parallel run is
+ * bit-identical to a serial one. Progress (cells done/total, per-cell
+ * wall time, ETA) goes to stderr under a mutex.
  *
  * Interruption is cooperative: requestStop() (or the SIGINT/SIGTERM
  * handlers installed by installStopSignalHandlers()) lets in-flight
@@ -37,13 +39,12 @@ struct RunnerOptions
     bool progress = true;
 
     /**
-     * Batch compatible simulate() cells — same workload and same
-     * config-invariant front end (MultiConfigEngine::frontEndKey) —
-     * into one-pass multi-config simulations: one trace pass drives
-     * all of a group's substrates. Cell names, hashes, results and
-     * sink/store bytes are bit-identical to running each cell alone;
-     * only wall time changes. Cells without one-pass info (custom
-     * thunks) are unaffected.
+     * Batch compatible cells — same workload and same config-invariant
+     * front end (MultiConfigEngine::frontEndKey) — into one-pass
+     * multi-config simulations: one trace pass drives all of a group's
+     * substrates. Cell names, hashes, results and sink/store bytes are
+     * bit-identical to running each cell alone; only wall time
+     * changes.
      */
     bool onePass = false;
 
@@ -63,8 +64,8 @@ struct CampaignOutcome
     std::vector<CellResult> results; //!< completed cells, cell order
     std::size_t totalCells = 0;      //!< cells the campaign asked for
     bool interrupted = false;        //!< stopped before all cells ran
-    /** Most substrate-replay threads any one-pass group ran on (0:
-     *  no group ran). */
+    /** Most substrate-replay threads any task ran on (0: no task
+     *  ran). */
     unsigned replayThreads = 0;
 };
 
@@ -94,6 +95,27 @@ class CampaignRunner
   private:
     RunnerOptions options_;
 };
+
+/**
+ * The execution plan for @p cells, as lists of cell indices: one task
+ * per cell, or with @p one_pass one task per (workload, front-end key)
+ * group, in first-member order.
+ */
+std::vector<std::vector<std::size_t>>
+planTasks(const std::vector<Cell> &cells, bool one_pass);
+
+/**
+ * Run one task: the cells @p members indexes in @p cells, which share
+ * a front end, as one MultiConfigEngine pass replayed on up to
+ * @p replay_threads threads. A lone cell is the one-member case — the
+ * engine SimEngine builds. @return one timed CellResult per member, in
+ * member order (a group's wall time is split evenly over its members).
+ * @p replayed, when given, receives the pass's replay-thread count.
+ */
+std::vector<CellResult> runTask(const std::vector<Cell> &cells,
+                                const std::vector<std::size_t> &members,
+                                unsigned replay_threads,
+                                unsigned *replayed = nullptr);
 
 /**
  * Find a named cell's RunResult in @p results (fatal if absent) —

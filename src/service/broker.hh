@@ -3,9 +3,9 @@
  * The campaign-service broker: prepares a lease queue for a cell
  * list (pre-marking cells a resumed store already holds), spawns and
  * supervises `seesaw_worker` processes, and reassembles a
- * CampaignOutcome from the store once they exit. Worker processes
- * rebuild the identical cell list from the same grid arguments, so
- * the broker only ships indices, never thunks.
+ * CampaignOutcome from the store once they exit. Specs are built by
+ * code, so worker processes rebuild the identical cell list from the
+ * same grid arguments and the broker only ships cell indices.
  */
 
 #ifndef SEESAW_SERVICE_BROKER_HH

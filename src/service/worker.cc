@@ -129,19 +129,8 @@ runWorker(const harness::CampaignSpec &spec,
             continue;
         }
 
-        harness::CellResult result;
-        result.name = cell.name;
-        result.workload = cell.workload;
-        result.seed = cell.seed;
-        result.configHash = cell.configHash;
-        const auto start = std::chrono::steady_clock::now();
-        result.result = cell.run();
-        result.wallSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        if (result.workload.empty())
-            result.workload = result.result.workload;
+        const harness::CellResult result =
+            std::move(harness::runTask(cells, {index}, 1).front());
 
         // The upsert flushes before the done marker appears, so a
         // crash between the two only re-runs the cell.

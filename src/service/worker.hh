@@ -2,9 +2,10 @@
  * @file
  * The body of a `seesaw_worker` process: rebuild the campaign's cell
  * list (every worker must derive the identical list from the same
- * grid arguments — cell thunks cannot cross a process boundary), then
- * loop claim → run → upsert → mark done against the store's lease
- * queue until the queue drains or a stop is requested. Cells whose
+ * grid arguments — specs are built by code, so processes exchange
+ * arguments and cell indices, not cells), then loop claim → run
+ * (harness::runTask on the one cell) → upsert → mark done against the
+ * store's lease queue until the queue drains or a stop is requested. Cells whose
  * key the store already holds are marked done without running, which
  * is what makes --resume converge.
  */

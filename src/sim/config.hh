@@ -12,6 +12,7 @@
 #define SEESAW_SIM_CONFIG_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/next_level.hh"
@@ -19,6 +20,7 @@
 #include "cache/replacement.hh"
 #include "check/audit.hh"
 #include "coherence/snoop_bus.hh"
+#include "common/name_table.hh"
 #include "core/seesaw_cache.hh"
 #include "cpu/cpu_model.hh"
 #include "mem/memhog.hh"
@@ -36,6 +38,28 @@ enum class L1Kind : std::uint8_t
     SeesawWayPredicted, //!< combined WP+SEESAW (Fig 15)
     Sipt,               //!< speculatively indexed (related work, §VII)
 };
+
+/** CLI names of the L1 designs (also the campaign cell labels). */
+inline constexpr EnumName<L1Kind> kL1KindNames[] = {
+    {L1Kind::ViptBaseline, "vipt"},
+    {L1Kind::Pipt, "pipt"},
+    {L1Kind::Seesaw, "seesaw"},
+    {L1Kind::ViptWayPredicted, "wp"},
+    {L1Kind::SeesawWayPredicted, "wpseesaw"},
+    {L1Kind::Sipt, "sipt"},
+};
+
+inline L1Kind
+parseL1Kind(std::string_view name)
+{
+    return parseEnumName(kL1KindNames, name, "L1 design");
+}
+
+inline const char *
+l1KindName(L1Kind kind)
+{
+    return enumName(kL1KindNames, kind);
+}
 
 /** Full system configuration. */
 struct SystemConfig

@@ -60,11 +60,14 @@ TEST(CampaignSpec, SingleSeedOmitsSeedSuffix)
 TEST(CampaignSpec, ExplicitCellsAppendAfterCross)
 {
     CampaignSpec spec = twoByTwo();
-    spec.cell("custom", [] { return RunResult{}; }, 42);
+    SystemConfig config = tinyConfig(L1Kind::Pipt);
+    config.seed = 42;
+    spec.cell("custom", findWorkload("redis"), config);
     const auto cells = spec.cells();
     ASSERT_EQ(cells.size(), 5u);
     EXPECT_EQ(cells.back().name, "custom");
-    EXPECT_EQ(cells.back().seed, 42u);
+    EXPECT_EQ(cells.back().config.seed, 42u);
+    EXPECT_EQ(cells.back().configHash, configHash(config));
 }
 
 TEST(ConfigHash, DistinguishesVariantsAndIsStable)
@@ -131,10 +134,7 @@ TEST(CampaignRunner, MultiCoreJsonIsByteIdenticalAcrossJobCounts)
     for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
         SystemConfig seeded = cfg;
         seeded.seed = seed;
-        spec.cell(
-            "tunk/c4/s" + std::to_string(seed),
-            [seeded, w] { return SimEngine(seeded, w).run(); }, seed,
-            configHash(seeded));
+        spec.cell("tunk/c4/s" + std::to_string(seed), w, seeded);
     }
 
     const auto emit = [&spec](unsigned jobs) {
@@ -196,18 +196,21 @@ TEST(CampaignRunner, OnePassIsBitIdenticalToPerCellExecution)
 TEST(CampaignRunner, OnePassSplitsIncompatibleFrontEnds)
 {
     // Different seeds feed the shared front end, so they must land in
-    // different groups; a custom-thunk cell (no one-pass info) rides
-    // along untouched. Everything still matches per-cell execution.
+    // different groups; a cell whose OS image differs from every group
+    // runs as its own task. Everything still matches per-cell
+    // execution.
     CampaignSpec spec = twoByTwo();
     spec.seeds({1, 2});
-    spec.cell(
-        "custom",
-        [] {
-            return SimEngine(tinyConfig(L1Kind::Pipt),
-                             findWorkload("redis"))
-                .run();
-        },
-        7);
+    SystemConfig custom = tinyConfig(L1Kind::Pipt);
+    custom.os.memBytes = 512ULL << 20;
+    spec.cell("custom", findWorkload("redis"), custom);
+
+    const auto cells = spec.cells();
+    const auto tasks = planTasks(cells, /*one_pass=*/true);
+    EXPECT_EQ(tasks.size(), 5u); // 2 workloads x 2 seeds, plus custom
+    ASSERT_EQ(cells.back().name, "custom");
+    EXPECT_EQ(tasks.back(),
+              std::vector<std::size_t>{cells.size() - 1});
 
     RunnerOptions per_cell;
     per_cell.jobs = 1;
@@ -237,16 +240,15 @@ TEST(CampaignRunner, OnePassSplitsIncompatibleFrontEnds)
 
 TEST(CampaignRunner, ExplicitSimulateCellsJoinOnePassGroups)
 {
-    // The simulate-cell overload records one-pass info, so explicit
-    // cells group with each other when compatible.
+    // Explicit cells group with each other when compatible.
     const WorkloadSpec w = findWorkload("redis");
     CampaignSpec spec("explicit1p");
     spec.cell("vipt", w, tinyConfig(L1Kind::ViptBaseline));
     spec.cell("seesaw", w, tinyConfig(L1Kind::Seesaw));
     const auto cells = spec.cells();
     ASSERT_EQ(cells.size(), 2u);
-    EXPECT_NE(cells[0].onePass, nullptr);
-    EXPECT_EQ(cells[0].workload, "redis");
+    EXPECT_EQ(planTasks(cells, /*one_pass=*/true).size(), 1u);
+    EXPECT_EQ(cells[0].workload.name, "redis");
     EXPECT_EQ(cells[0].configHash,
               configHash(tinyConfig(L1Kind::ViptBaseline)));
 
@@ -263,6 +265,25 @@ TEST(CampaignRunner, ExplicitSimulateCellsJoinOnePassGroups)
                   baseline.results[i].result)
             << "cell " << baseline.results[i].name;
     }
+}
+
+TEST(CampaignRunner, LoneCellMatchesSimEngine)
+{
+    // A lone cell at jobs=4 runs inline with the whole thread budget;
+    // its one-substrate engine is the one SimEngine builds.
+    const WorkloadSpec w = findWorkload("mcf");
+    const SystemConfig cfg = tinyConfig(L1Kind::Seesaw);
+    CampaignSpec spec("lone");
+    spec.cell("mcf/seesaw", w, cfg);
+    RunnerOptions opts;
+    opts.jobs = 4;
+    opts.progress = false;
+    const auto outcome = CampaignRunner(opts).run(spec);
+    ASSERT_EQ(outcome.results.size(), 1u);
+    EXPECT_EQ(outcome.replayThreads, 1u);
+    EXPECT_EQ(outcome.results[0].workload, "mcf");
+    EXPECT_EQ(outcome.results[0].seed, cfg.seed);
+    EXPECT_EQ(outcome.results[0].result, SimEngine(cfg, w).run());
 }
 
 TEST(CampaignRunner, FindResultLooksUpByName)

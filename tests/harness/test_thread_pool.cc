@@ -127,5 +127,24 @@ TEST(DefaultJobs, RejectsOutOfRangeValues)
     ::unsetenv("SEESAW_JOBS");
 }
 
+TEST(ParseJobs, AcceptsWholeNumbersFromTheMinimum)
+{
+    EXPECT_EQ(parseJobs("1"), 1u);
+    EXPECT_EQ(parseJobs("16"), 16u);
+    EXPECT_EQ(parseJobs("4294967295"), 4294967295u); // UINT_MAX
+    EXPECT_EQ(parseJobs("0", /*min=*/0), 0u);
+}
+
+TEST(ParseJobs, RejectsNegativeZeroJunkEmptyAndHuge)
+{
+    for (const char *bad :
+         {"-1", "0", "4x", "", "4294967296", "99999999999999999999"})
+        EXPECT_EQ(parseJobs(bad), std::nullopt) << "'" << bad << "'";
+    // A zero minimum (--workers) still rejects everything else.
+    for (const char *bad : {"-1", "4x", "", "4294967296"})
+        EXPECT_EQ(parseJobs(bad, /*min=*/0), std::nullopt)
+            << "'" << bad << "'";
+}
+
 } // namespace
 } // namespace seesaw::harness

@@ -1,18 +1,18 @@
 /**
  * @file
- * End-to-end campaign-service tests, in-process: a synthetic
- * deterministic campaign runs to completion, gets "killed" partway
- * (cell budget), resumes, and races two workers — and every route
- * must converge on a byte-identical canonical store dump. The
- * cell-run counter proves resume actually skips completed work
- * instead of silently re-running it.
+ * End-to-end campaign-service tests, in-process: a campaign of tiny
+ * real simulations runs to completion, gets "killed" partway (cell
+ * budget), resumes, and races two workers — and every route must
+ * converge on a byte-identical canonical store dump. The store's
+ * history (one segment record per execution until a compaction)
+ * proves resume actually skips completed work instead of silently
+ * re-running it.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
@@ -53,30 +53,35 @@ class TempDir
     std::string dir_;
 };
 
-/** kCells deterministic synthetic cells; every run of cell i is
- *  counted in @p runs and produces the identical result. */
+constexpr std::uint64_t kInstructions = 3000;
+
+/** kCells tiny real cells, one per paper workload: a few thousand
+ *  instructions (cell i runs kInstructions + i) on 64MB of memory. */
 harness::CampaignSpec
-makeSpec(std::atomic<std::size_t> *runs)
+makeSpec()
 {
     harness::CampaignSpec spec("svc");
     for (std::size_t i = 0; i < kCells; ++i) {
-        const std::string workload = "wl" + std::to_string(i);
-        spec.cell(
-            workload + "/unit",
-            [workload, i, runs] {
-                if (runs != nullptr)
-                    runs->fetch_add(1, std::memory_order_relaxed);
-                RunResult r;
-                r.workload = workload;
-                r.instructions = 1000 + i;
-                r.cycles = 2000 + 3 * i;
-                r.ipc = 0.5 + 0.01 * static_cast<double>(i);
-                r.l1Accesses = 100 * i;
-                return r;
-            },
-            /*seed=*/1, /*config_hash=*/0x1000 + i, workload);
+        WorkloadSpec w = paperWorkloads()[i];
+        w.footprintBytes = 8ULL << 20;
+        w.hotSetBytes = 1ULL << 20;
+        SystemConfig cfg;
+        cfg.instructions = kInstructions + i;
+        cfg.warmupInstructions = 1000;
+        cfg.os.memBytes = 64ULL << 20;
+        spec.cell(w.name + "/unit", w, cfg);
     }
     return spec;
+}
+
+/** Cell executions recorded in @p storeDir: every run appends one
+ *  segment record, superseded or not, until a compaction. */
+std::size_t
+executions(const std::string &storeDir)
+{
+    store::StoreSnapshot snap;
+    EXPECT_EQ(store::loadStore(storeDir, snap), "");
+    return snap.history.size();
 }
 
 std::string
@@ -102,8 +107,7 @@ workerOptions(const std::string &storeDir, const std::string &id)
 
 TEST(Service, KillAndResumeConvergesOnTheUninterruptedRun)
 {
-    std::atomic<std::size_t> runs{0};
-    const harness::CampaignSpec spec = makeSpec(&runs);
+    const harness::CampaignSpec spec = makeSpec();
     const auto cells = spec.cells();
 
     // Reference: one worker drains the whole queue in one go.
@@ -118,7 +122,7 @@ TEST(Service, KillAndResumeConvergesOnTheUninterruptedRun)
     EXPECT_EQ(report.ran, kCells);
     EXPECT_EQ(report.skippedPresent, 0u);
     EXPECT_FALSE(report.stopped);
-    EXPECT_EQ(runs.load(), kCells);
+    EXPECT_EQ(executions(serial.dir()), kCells);
 
     // "Killed" run: the worker dies after two cells (cell budget
     // stands in for SIGKILL — same observable store state).
@@ -136,19 +140,18 @@ TEST(Service, KillAndResumeConvergesOnTheUninterruptedRun)
     ASSERT_EQ(prepareQueue(killed.dir(), "svc", cells, true, queue),
               "");
     EXPECT_EQ(queue.preDone, 2u);
-    const std::size_t runsBefore = runs.load();
+    const std::size_t runsBefore = executions(killed.dir());
     report = runWorker(spec, workerOptions(killed.dir(), "w1"));
     EXPECT_EQ(report.ran, kCells - 2);
     EXPECT_EQ(report.skippedPresent, 0u);
-    EXPECT_EQ(runs.load(), runsBefore + (kCells - 2));
+    EXPECT_EQ(executions(killed.dir()), runsBefore + (kCells - 2));
 
     EXPECT_EQ(dumpOf(killed.dir()), dumpOf(serial.dir()));
 }
 
 TEST(Service, WorkerSkipsCellsTheStoreAlreadyHolds)
 {
-    std::atomic<std::size_t> runs{0};
-    const harness::CampaignSpec spec = makeSpec(&runs);
+    const harness::CampaignSpec spec = makeSpec();
     const auto cells = spec.cells();
 
     TempDir store;
@@ -164,18 +167,17 @@ TEST(Service, WorkerSkipsCellsTheStoreAlreadyHolds)
     // the counters, not just the dump, prove no re-execution.
     ASSERT_EQ(prepareQueue(store.dir(), "svc", cells, false, queue),
               "");
-    const std::size_t runsBefore = runs.load();
+    const std::size_t runsBefore = executions(store.dir());
     const WorkerReport report =
         runWorker(spec, workerOptions(store.dir(), "w1"));
     EXPECT_EQ(report.skippedPresent, 2u);
     EXPECT_EQ(report.ran, kCells - 2);
-    EXPECT_EQ(runs.load(), runsBefore + (kCells - 2));
+    EXPECT_EQ(executions(store.dir()), runsBefore + (kCells - 2));
 }
 
 TEST(Service, TwoConcurrentWorkersPartitionTheQueue)
 {
-    std::atomic<std::size_t> runs{0};
-    const harness::CampaignSpec spec = makeSpec(&runs);
+    const harness::CampaignSpec spec = makeSpec();
     const auto cells = spec.cells();
 
     TempDir store;
@@ -192,7 +194,7 @@ TEST(Service, TwoConcurrentWorkersPartitionTheQueue)
 
     // Leases make the split exclusive and exhaustive.
     EXPECT_EQ(a.ran + b.ran, kCells);
-    EXPECT_EQ(runs.load(), kCells);
+    EXPECT_EQ(executions(store.dir()), kCells);
 
     TempDir serial;
     ASSERT_EQ(prepareQueue(serial.dir(), "svc", cells, false, queue),
@@ -205,7 +207,7 @@ TEST(Service, ThreadPathAndWorkerPathProduceIdenticalStores)
 {
     // The --store --jobs path (runCells + StoreSink hook) and the
     // --workers path (lease queue) must agree byte-for-byte.
-    const harness::CampaignSpec spec = makeSpec(nullptr);
+    const harness::CampaignSpec spec = makeSpec();
     const auto cells = spec.cells();
 
     TempDir threaded;
@@ -242,14 +244,14 @@ TEST(Service, ThreadPathAndWorkerPathProduceIdenticalStores)
     EXPECT_FALSE(outcome.interrupted);
     for (std::size_t i = 0; i < kCells; ++i) {
         EXPECT_EQ(outcome.results[i].name, cells[i].name);
-        EXPECT_EQ(outcome.results[i].result.instructions, 1000 + i);
+        EXPECT_EQ(outcome.results[i].result.instructions,
+                  kInstructions + i);
     }
 }
 
 TEST(Service, StopRequestEndsTheWorkerLoopBetweenCells)
 {
-    std::atomic<std::size_t> runs{0};
-    const harness::CampaignSpec spec = makeSpec(&runs);
+    const harness::CampaignSpec spec = makeSpec();
     const auto cells = spec.cells();
 
     TempDir store;
@@ -262,7 +264,7 @@ TEST(Service, StopRequestEndsTheWorkerLoopBetweenCells)
     harness::clearStopRequest();
     EXPECT_TRUE(report.stopped);
     EXPECT_EQ(report.ran, 0u);
-    EXPECT_EQ(runs.load(), 0u);
+    EXPECT_EQ(executions(store.dir()), 0u);
 
     // The interrupted store resumes cleanly afterwards.
     ASSERT_EQ(prepareQueue(store.dir(), "svc", cells, true, queue),
