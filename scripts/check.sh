@@ -72,12 +72,13 @@ for stage in "${stages[@]}"; do
         banner "TSan build + threaded smoke"
         cmake -S "$repo" -B "$repo/build-tsan" -DSEESAW_SANITIZE=tsan
         cmake --build "$repo/build-tsan" -j "$jobs"
-        # The harness, the one-pass substrate replay and the service
+        # The harness, the one-pass substrate replay (every SimEngine
+        # run records and replays on two threads) and the service
         # workers (real cells plus heartbeat threads) own all the
         # threading; run their suites plus parallel campaigns so real
         # worker interleavings execute.
         ctest --test-dir "$repo/build-tsan" --output-on-failure \
-            -R 'ThreadPool|Campaign|Sink|MultiConfigEngine|Service\.|ParseJobs'
+            -R 'ThreadPool|Campaign|Sink|MultiConfigEngine|SimEngine|Service\.|ParseJobs'
         "$repo/build-tsan/examples/campaign" --campaign tsan-smoke \
             --workloads redis,mcf --l1 32K --jobs 2 \
             --instructions 50000 --quiet

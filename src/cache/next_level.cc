@@ -20,8 +20,7 @@ OuterHierarchy::OuterHierarchy(const OuterHierarchyParams &params,
                                double freq_ghz,
                                SetAssocCache *shared_llc)
     : l2_(params.l2SizeBytes, params.l2Assoc),
-      ownLlc_(params.llcSizeBytes, params.llcAssoc),
-      llc_(shared_llc ? shared_llc : &ownLlc_),
+      llc_(shared_llc),
       l2Cycles_(toCycles(params.l2LatencyNs, freq_ghz)),
       llcCycles_(toCycles(params.llcLatencyNs, freq_ghz)),
       dramCycles_(toCycles(params.dramLatencyNs, freq_ghz)),
@@ -34,6 +33,8 @@ OuterHierarchy::OuterHierarchy(const OuterHierarchyParams &params,
       stL1Writebacks_(&stats_.scalar("l1_writebacks"))
 {
     SEESAW_ASSERT(freq_ghz > 0.0, "bad frequency");
+    if (!llc_)
+        llc_ = &ownLlc_.emplace(params.llcSizeBytes, params.llcAssoc);
 }
 
 OuterAccessResult

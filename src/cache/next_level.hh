@@ -9,6 +9,8 @@
 #ifndef SEESAW_CACHE_NEXT_LEVEL_HH
 #define SEESAW_CACHE_NEXT_LEVEL_HH
 
+#include <optional>
+
 #include "cache/set_assoc_cache.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -51,7 +53,8 @@ class OuterHierarchy
      * @param shared_llc When non-null, use this externally owned LLC
      *        tag store instead of a private one — multi-core systems
      *        give every core its own OuterHierarchy (private L2 and
-     *        per-core stats) over one shared LLC.
+     *        per-core stats) over one shared LLC, and no private
+     *        LLC is built.
      */
     OuterHierarchy(const OuterHierarchyParams &params, double freq_ghz,
                    SetAssocCache *shared_llc = nullptr);
@@ -79,8 +82,10 @@ class OuterHierarchy
 
   private:
     SetAssocCache l2_;
-    SetAssocCache ownLlc_;
-    SetAssocCache *llc_; //!< &ownLlc_, or the shared LLC
+    /** The private LLC, built only without a shared one: a 24MB tag
+     *  store is about 13MB of host memory. */
+    std::optional<SetAssocCache> ownLlc_;
+    SetAssocCache *llc_; //!< &*ownLlc_, or the shared LLC
     unsigned l2Cycles_;
     unsigned llcCycles_;
     unsigned dramCycles_;

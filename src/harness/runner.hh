@@ -31,8 +31,9 @@ struct RunnerOptions
 {
     /** Worker threads; 0 = defaultJobs() (SEESAW_JOBS env, else
      *  hardware_concurrency). 1 runs inline with no pool. Also the
-     *  replay-thread budget of a one-pass group when the plan has a
-     *  single task (groups sharing the pool replay on one thread). */
+     *  thread budget of a lone task's pass, its recording thread
+     *  included, when the plan has a single task (tasks sharing the
+     *  pool run on one thread each). */
     unsigned jobs = 0;
 
     /** Emit per-cell progress lines to stderr. */
@@ -64,8 +65,8 @@ struct CampaignOutcome
     std::vector<CellResult> results; //!< completed cells, cell order
     std::size_t totalCells = 0;      //!< cells the campaign asked for
     bool interrupted = false;        //!< stopped before all cells ran
-    /** Most substrate-replay threads any task ran on (0: no task
-     *  ran). */
+    /** Most threads any task's pass ran on, the recording one
+     *  included (0: no task ran). */
     unsigned replayThreads = 0;
 };
 
@@ -106,11 +107,12 @@ planTasks(const std::vector<Cell> &cells, bool one_pass);
 
 /**
  * Run one task: the cells @p members indexes in @p cells, which share
- * a front end, as one MultiConfigEngine pass replayed on up to
- * @p replay_threads threads. A lone cell is the one-member case — the
- * engine SimEngine builds. @return one timed CellResult per member, in
- * member order (a group's wall time is split evenly over its members).
- * @p replayed, when given, receives the pass's replay-thread count.
+ * a front end, as one MultiConfigEngine pass on up to
+ * @p replay_threads threads, the recording one included. A lone cell
+ * is the one-member case — the engine SimEngine builds. @return one
+ * timed CellResult per member, in member order (a group's wall time
+ * is split evenly over its members). @p replayed, when given,
+ * receives the pass's thread count.
  */
 std::vector<CellResult> runTask(const std::vector<Cell> &cells,
                                 const std::vector<std::size_t> &members,

@@ -26,7 +26,7 @@ SimEngine::coreSeed(std::uint64_t seed, unsigned core)
 
 SimEngine::SimEngine(const SystemConfig &config,
                      const WorkloadSpec &workload)
-    : engine_({config}, workload, 1)
+    : engine_({config}, workload)
 {
 }
 

@@ -72,6 +72,23 @@ TEST(OuterHierarchy, WritebackInstallsInL2)
     EXPECT_EQ(outer.stats().get("l1_writebacks"), 1.0);
 }
 
+TEST(OuterHierarchy, CoresShareTheGivenLlc)
+{
+    // Two cores' hierarchies over one LLC: a line one core brought in
+    // from DRAM is an LLC hit for the other.
+    const OuterHierarchyParams p;
+    SetAssocCache shared(p.llcSizeBytes, p.llcAssoc);
+    OuterHierarchy core0(p, 1.33, &shared);
+    OuterHierarchy core1(p, 1.33, &shared);
+    EXPECT_EQ(&core0.llc(), &shared);
+    EXPECT_EQ(&core1.llc(), &shared);
+    EXPECT_EQ(core0.access(0x40000, AccessType::Read).level,
+              HitLevel::Dram);
+    EXPECT_TRUE(shared.peek(0x40000).hit);
+    EXPECT_EQ(core1.access(0x40000, AccessType::Read).level,
+              HitLevel::LLC);
+}
+
 TEST(OuterHierarchy, HigherFrequencyMeansMoreCycles)
 {
     OuterHierarchy slow({}, 1.33), fast({}, 4.0);

@@ -270,7 +270,8 @@ TEST(CampaignRunner, ExplicitSimulateCellsJoinOnePassGroups)
 TEST(CampaignRunner, LoneCellMatchesSimEngine)
 {
     // A lone cell at jobs=4 runs inline with the whole thread budget;
-    // its one-substrate engine is the one SimEngine builds.
+    // its one-substrate engine is the one SimEngine builds, recording
+    // on the calling thread and replaying on a second.
     const WorkloadSpec w = findWorkload("mcf");
     const SystemConfig cfg = tinyConfig(L1Kind::Seesaw);
     CampaignSpec spec("lone");
@@ -280,7 +281,7 @@ TEST(CampaignRunner, LoneCellMatchesSimEngine)
     opts.progress = false;
     const auto outcome = CampaignRunner(opts).run(spec);
     ASSERT_EQ(outcome.results.size(), 1u);
-    EXPECT_EQ(outcome.replayThreads, 1u);
+    EXPECT_EQ(outcome.replayThreads, 2u);
     EXPECT_EQ(outcome.results[0].workload, "mcf");
     EXPECT_EQ(outcome.results[0].seed, cfg.seed);
     EXPECT_EQ(outcome.results[0].result, SimEngine(cfg, w).run());

@@ -4,8 +4,8 @@
  * simulator's per-access methods (the engine's step recording and
  * substrate replay, cache access, TLB lookup, translation-cache
  * lookup, core-complex memory access and fetch). The engine's run
- * loop and batch dispatch are not roots: a crewed pass takes the crew
- * mutex once per batch by design.
+ * loop and batch dispatch are not roots: a pass with a replay ring
+ * takes the ring mutex a few times per batch by design.
  *
  * Rule (DESIGN.md "Concurrency rules", guarding PR 3's throughput
  * work): the per-access hot path runs millions of times per simulated
